@@ -76,6 +76,7 @@ from .model import (
     classify_items,
     format_value,
     parse_value,
+    require_allocation,
     rescale_common_total,
     validate_instance,
     value,

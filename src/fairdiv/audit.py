@@ -27,9 +27,24 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .enumeration import assignments, bundle_masks, guard_search_space, scaled_value_tables
+import numpy as np
+
+from .enumeration import (
+    AllocationRows,
+    assignment_at,
+    assignment_index,
+    guard_search_space,
+)
 from .errors import SearchSpaceTooLarge
-from .model import Allocation, Bundle, Instance, classify_items, format_value, value
+from .model import (
+    Allocation,
+    Bundle,
+    Instance,
+    classify_items,
+    format_value,
+    require_allocation,
+    value,
+)
 
 GOOD_REMOVAL = "good-removal"
 CHORE_COPY = "chore-copy"
@@ -200,12 +215,14 @@ class CheckResult:
 
 def envies(inst: Instance, alloc: Allocation, i: int, j: int) -> bool:
     """True iff agent i strictly prefers agent j's bundle to her own."""
+    require_allocation(inst, alloc)
     bundles = alloc.bundles()
     return value(inst, i, bundles[i]) < value(inst, i, bundles[j])
 
 
 def check_EF(inst: Instance, alloc: Allocation) -> CheckResult:
     """Envy-freeness: no agent strictly prefers another agent's bundle."""
+    require_allocation(inst, alloc)
     bundles = alloc.bundles()
     for i in range(inst.agents):
         own = value(inst, i, bundles[i])
@@ -242,6 +259,7 @@ def check_EFX(inst: Instance, alloc: Allocation) -> CheckResult:
     removing any good from the envied bundle, and copying any owned chore
     onto it. An envious pair with no adjustment available fails.
     """
+    require_allocation(inst, alloc)
     cls = classify_items(inst)
     bundles = alloc.bundles()
     for i in range(inst.agents):
@@ -270,6 +288,7 @@ def check_EF1(inst: Instance, alloc: Allocation) -> CheckResult:
     """Envy-freeness up to one item: for every envious pair some single
     adjustment (one good removed from the envied bundle, or one owned
     chore copied onto it) must cancel the envy."""
+    require_allocation(inst, alloc)
     cls = classify_items(inst)
     bundles = alloc.bundles()
     for i in range(inst.agents):
@@ -294,6 +313,7 @@ def check_EF1(inst: Instance, alloc: Allocation) -> CheckResult:
 def check_PROP(inst: Instance, alloc: Allocation) -> CheckResult:
     """Proportionality: every agent values her bundle at least at
     v_i(M) / n."""
+    require_allocation(inst, alloc)
     bundles = alloc.bundles()
     for i in range(inst.agents):
         threshold = value(inst, i, inst.full_mask) / inst.agents
@@ -308,6 +328,7 @@ def check_PROP1(inst: Instance, alloc: Allocation) -> CheckResult:
     proportional share as allocated, after adding one unowned item, or
     after removing one owned item. The added item may be any unowned
     item; the quantifier is not restricted to goods."""
+    require_allocation(inst, alloc)
     bundles = alloc.bundles()
     for i in range(inst.agents):
         threshold = value(inst, i, inst.full_mask) / inst.agents
@@ -331,24 +352,17 @@ def check_PO(inst: Instance, alloc: Allocation, max_space: int | None = None) ->
     one that makes every agent weakly better off and someone strictly
     better off. Bounded by the search-space cap.
     """
-    size = guard_search_space(inst.agents, inst.m, max_space)
-    tables, _scale = scaled_value_tables(inst)
-    base = [tables[i][mask] for i, mask in enumerate(alloc.bundles())]
+    require_allocation(inst, alloc)
     n = inst.agents
-    for candidate in assignments(n, inst.m):
-        masks = bundle_masks(candidate, n)
-        improved = False
-        for i in range(n):
-            got = tables[i][masks[i]]
-            if got < base[i]:
-                improved = False
-                break
-            if got > base[i]:
-                improved = True
-        if improved:
-            return CheckResult(
-                Verdict.FAILS, PoWitness(Allocation(n, tuple(candidate)))
-            )
+    guard_search_space(n, inst.m, max_space)
+    rows = AllocationRows(inst)
+    base = rows.row(assignment_index(n, alloc.assignment))
+    for start, chunk in rows.chunks():
+        better = (chunk >= base).all(axis=1) & (chunk > base).any(axis=1)
+        hits = np.flatnonzero(better)
+        if len(hits):
+            improvement = assignment_at(n, inst.m, start + int(hits[0]))
+            return CheckResult(Verdict.FAILS, PoWitness(Allocation(n, improvement)))
     return CheckResult(Verdict.HOLDS)
 
 
@@ -403,6 +417,7 @@ def audit(
     A check whose search space exceeds the cap is reported as
     not-applicable rather than aborting the whole audit.
     """
+    require_allocation(inst, alloc)
     results = []
     for notion in notions:
         try:
@@ -436,6 +451,7 @@ class EnvyGraph:
 
 
 def build_envy_graph(inst: Instance, alloc: Allocation) -> EnvyGraph:
+    require_allocation(inst, alloc)
     bundles = alloc.bundles()
     edges = []
     for u in range(inst.agents):
@@ -493,6 +509,7 @@ def eliminate_envy_cycles(inst: Instance, alloc: Allocation) -> Allocation:
     the total utility strictly increases and the loop terminates. The
     result's envy graph is acyclic, hence some agent envies nobody.
     """
+    require_allocation(inst, alloc)
     masks = list(alloc.bundles())
     while True:
         cycle = _first_cycle(inst.agents, _envy_adjacency(inst, masks))

@@ -17,16 +17,26 @@ Built-in specs, with v the agent's value, G/C her goods and chores:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Optional
 
+import numpy as np
+
 from .enumeration import (
-    assignments,
-    bundle_masks,
+    AllocationRows,
+    assignment_at,
     exact_value_tables,
     guard_search_space,
-    scaled_value_tables,
+    lex_argmax,
 )
-from .model import Allocation, Bundle, Instance, SolveResult, classify_items
+from .model import (
+    Allocation,
+    Bundle,
+    Instance,
+    SolveResult,
+    classify_items,
+    require_allocation,
+)
 
 #: Permutation of agents sorting their objective tuples in nondecreasing
 #: order, ties broken by ascending agent index.
@@ -86,6 +96,7 @@ def objective(inst: Instance, spec: ObjectiveSpec, agent: int, bundle: Bundle) -
 
 def agent_ordering(inst: Instance, spec: ObjectiveSpec, alloc: Allocation) -> AgentOrdering:
     """Agents sorted by increasing objective tuple, ties by agent index."""
+    require_allocation(inst, alloc)
     bundles = alloc.bundles()
     tuples = [objective(inst, spec, i, bundles[i]) for i in range(inst.agents)]
     return tuple(sorted(range(inst.agents), key=lambda i: (tuples[i], i)))
@@ -93,6 +104,7 @@ def agent_ordering(inst: Instance, spec: ObjectiveSpec, alloc: Allocation) -> Ag
 
 def sorted_objectives(inst: Instance, spec: ObjectiveSpec, alloc: Allocation) -> tuple:
     """The allocation's objective tuples in the agent ordering."""
+    require_allocation(inst, alloc)
     bundles = alloc.bundles()
     tuples = [objective(inst, spec, i, bundles[i]) for i in range(inst.agents)]
     return tuple(sorted(tuples))
@@ -107,6 +119,8 @@ def precedes(inst: Instance, spec: ObjectiveSpec, a: Allocation, b: Allocation) 
     first position whose tuples differ decides. Equal sorted sequences
     are incomparable, so the relation is a strict weak order.
     """
+    require_allocation(inst, a)
+    require_allocation(inst, b)
     bundles_a = a.bundles()
     bundles_b = b.bundles()
     tuples_a = [objective(inst, spec, i, bundles_a[i]) for i in range(inst.agents)]
@@ -121,61 +135,38 @@ def precedes(inst: Instance, spec: ObjectiveSpec, a: Allocation, b: Allocation) 
     return False
 
 
-def _solver_key_fn(inst: Instance, spec: ObjectiveSpec):
-    """Key function assignment -> sorted objective-tuple sequence.
+def _objective_rows(inst: Instance, spec: ObjectiveSpec) -> AllocationRows:
+    """Each agent's built-in objective tuple packed into one integer.
 
-    For the built-in specs the value entry is an integer under one common
-    positive scale, which preserves every comparison the exact tuples
-    would make while keeping the enumeration loop cheap. Custom specs
-    fall back to exact tuples.
+    With v the scaled value, g the goods count and c the chores count,
+    the keys are v, v*(m+1) + g and v*(m+1)^2 + g*(m+1) - c. Both counts
+    lie in 0..m, so integer order on the keys is lexicographic order on
+    the tuples.
     """
-    n = inst.agents
-    if spec.kind == ObjectiveSpec.CUSTOM:
-        fn = spec.custom
-
-        def key(assignment):
-            masks = bundle_masks(assignment, n)
-            return tuple(sorted(tuple(fn(inst, i, masks[i])) for i in range(n)))
-
-        return key
-    tables, _scale = scaled_value_tables(inst)
     if spec.kind == ObjectiveSpec.UTILITY:
-
-        def key(assignment):
-            masks = bundle_masks(assignment, n)
-            return tuple(sorted((tables[i][masks[i]],) for i in range(n)))
-
-        return key
+        return AllocationRows(inst)
+    m = inst.m
     cls = classify_items(inst)
-    goods = cls.goods
-    chores = cls.chores
+    goods = [[good >> j & 1 for j in range(m)] for good in cls.goods]
     if spec.kind == ObjectiveSpec.UTILITY_GOODS:
+        return AllocationRows(inst, m + 1, goods)
+    extra = [[g * (m + 1) - (1 - g) for g in row] for row in goods]
+    return AllocationRows(inst, (m + 1) ** 2, extra)
 
-        def key(assignment):
-            masks = bundle_masks(assignment, n)
-            return tuple(
-                sorted(
-                    (tables[i][masks[i]], (masks[i] & goods[i]).bit_count())
-                    for i in range(n)
-                )
-            )
 
-        return key
-
-    def key(assignment):
-        masks = bundle_masks(assignment, n)
-        return tuple(
-            sorted(
-                (
-                    tables[i][masks[i]],
-                    (masks[i] & goods[i]).bit_count(),
-                    -(masks[i] & chores[i]).bit_count(),
-                )
-                for i in range(n)
-            )
-        )
-
-    return key
+def _custom_argmax(inst: Instance, spec: ObjectiveSpec) -> tuple[int, int]:
+    """(canonical index of the first optimum, tie count) for a custom
+    spec, whose objective only its Python function can evaluate."""
+    best = None
+    first = None
+    ties = 0
+    for index, assignment in enumerate(product(range(inst.agents), repeat=inst.m)):
+        key = sorted_objectives(inst, spec, Allocation(inst.agents, assignment))
+        if best is None or key > best:
+            best, first, ties = key, index, 1
+        elif key == best:
+            ties += 1
+    return first, ties
 
 
 def leximin_solve(
@@ -191,19 +182,12 @@ def leximin_solve(
     optimal sorted objective vector.
     """
     size = guard_search_space(inst.agents, inst.m, max_space)
-    key_fn = _solver_key_fn(inst, spec)
-    best_key = None
-    best_assignment = None
-    ties = 0
-    for assignment in assignments(inst.agents, inst.m):
-        key = key_fn(assignment)
-        if best_key is None or key > best_key:
-            best_key = key
-            best_assignment = assignment
-            ties = 1
-        elif key == best_key:
-            ties += 1
-    allocation = Allocation(inst.agents, tuple(best_assignment))
+    if spec.kind == ObjectiveSpec.CUSTOM:
+        first, ties = _custom_argmax(inst, spec)
+    else:
+        rows = _objective_rows(inst, spec)
+        first, _key, ties = lex_argmax(rows, lambda chunk: np.sort(chunk, axis=1).T)
+    allocation = Allocation(inst.agents, assignment_at(inst.agents, inst.m, first))
     return SolveResult(
         allocation=allocation,
         objective_vector=sorted_objectives(inst, spec, allocation),
@@ -219,11 +203,11 @@ def is_leximin_optimal(
     alloc: Allocation,
     max_space: int | None = None,
 ) -> bool:
-    """True iff no allocation ranks strictly above ``alloc``."""
-    guard_search_space(inst.agents, inst.m, max_space)
-    key_fn = _solver_key_fn(inst, spec)
-    own = key_fn(alloc.assignment)
-    for assignment in assignments(inst.agents, inst.m):
-        if key_fn(assignment) > own:
-            return False
-    return True
+    """True iff no allocation ranks strictly above ``alloc``.
+
+    The comparison is a strict weak order, so ``alloc`` is maximal exactly
+    when it does not rank below the solver's optimum.
+    """
+    require_allocation(inst, alloc)
+    best = leximin_solve(inst, spec, max_space).allocation
+    return not precedes(inst, spec, alloc, best)

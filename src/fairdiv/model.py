@@ -242,6 +242,19 @@ class Allocation:
         return cls(agents, tuple(assignment))
 
 
+def require_allocation(inst: Instance, alloc: Allocation) -> None:
+    """Raise :class:`InvalidAllocation` unless ``alloc`` allocates this
+    instance's items among this instance's agents."""
+    if alloc.agents != inst.agents:
+        raise InvalidAllocation(
+            f"allocation is for {alloc.agents} agents, instance has {inst.agents}"
+        )
+    if len(alloc.assignment) != inst.m:
+        raise InvalidAllocation(
+            f"allocation assigns {len(alloc.assignment)} items, instance has {inst.m}"
+        )
+
+
 @dataclass(frozen=True)
 class SolveResult:
     """Outcome of an exhaustive solve.

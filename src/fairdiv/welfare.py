@@ -21,15 +21,23 @@ from math import prod
 import numpy as np
 
 from .enumeration import (
+    AllocationRows,
     assignment_at,
-    assignments,
-    bundle_masks,
+    distinct_rows,
     exact_value_tables,
     guard_search_space,
-    scaled_value_tables,
+    lex_argmax,
+    lex_max,
+    value_scale,
 )
 from .errors import NotAdditive, NotChoresOnly
-from .model import AdditiveValuation, Allocation, Instance, SolveResult
+from .model import (
+    AdditiveValuation,
+    Allocation,
+    Instance,
+    SolveResult,
+    require_allocation,
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -60,6 +68,7 @@ def nash_prime_factors(inst: Instance, alloc: Allocation) -> tuple[Fraction, ...
     """Per-agent spared aversion u_i(M) - u_i(A_i), which for chores-only
     values equals v_i(A_i) - v_i(M)."""
     _require_chores_only(inst)
+    require_allocation(inst, alloc)
     tables = exact_value_tables(inst)
     return tuple(
         tables[i][mask] - tables[i][inst.full_mask]
@@ -72,6 +81,25 @@ def modified_nash_welfare(inst: Instance, alloc: Allocation) -> WelfareScore:
     return _score(nash_prime_factors(inst, alloc))
 
 
+def _nash_columns(factors: np.ndarray, bound: int) -> list[np.ndarray]:
+    """Per row: the number of nonzero factors, then their product.
+
+    ``bound`` caps every factor's absolute value; products that it cannot
+    prove below 2^63 are taken over Python integers.
+    """
+    if max(bound, 1) ** factors.shape[1] >= 2**63:
+        factors = factors.astype(object)
+    nonzero = factors != 0
+    return [nonzero.sum(axis=1), np.where(nonzero, factors, 1).prod(axis=1)]
+
+
+def _scaled_totals(inst: Instance) -> list[int]:
+    """Each agent's value of the whole item set, under the scale of
+    :class:`AllocationRows`."""
+    scale = value_scale(inst)
+    return [int(sum(row, Fraction(0)) * scale) for row in inst.valuation.matrix]
+
+
 def mnw_prime_solve(inst: Instance, max_space: int | None = None) -> SolveResult:
     """Exhaustively maximize the modified Nash welfare.
 
@@ -79,24 +107,16 @@ def mnw_prime_solve(inst: Instance, max_space: int | None = None) -> SolveResult
     """
     _require_chores_only(inst)
     size = guard_search_space(inst.agents, inst.m, max_space)
-    tables, _scale = scaled_value_tables(inst)
     n = inst.agents
-    totals = [tables[i][inst.full_mask] for i in range(n)]
-    best_score = None
-    best_assignment = None
-    ties = 0
-    for assignment in assignments(n, inst.m):
-        masks = bundle_masks(assignment, n)
-        factors = [tables[i][masks[i]] - totals[i] for i in range(n)]
-        nonzero = [f for f in factors if f]
-        score = (len(nonzero), prod(nonzero, start=1))
-        if best_score is None or score > best_score:
-            best_score = score
-            best_assignment = assignment
-            ties = 1
-        elif score == best_score:
-            ties += 1
-    allocation = Allocation(n, tuple(best_assignment))
+    rows = AllocationRows(inst)
+    totals = _scaled_totals(inst)
+    # chores only: 0 <= v_i(A_i) - v_i(M) <= -v_i(M)
+    bound = max(-total for total in totals)
+    totals = np.array(totals, dtype=rows.dtype)
+    first, _key, ties = lex_argmax(
+        rows, lambda chunk: _nash_columns(chunk - totals, bound)
+    )
+    allocation = Allocation(n, assignment_at(n, inst.m, first))
     factors = nash_prime_factors(inst, allocation)
     return SolveResult(
         allocation=allocation,
@@ -164,41 +184,16 @@ def constrained_mnw_solve(inst: Instance, max_space: int | None = None) -> Solve
     """
     _require_chores_only(inst)
     size = guard_search_space(inst.agents, inst.m, max_space)
-    tables, _scale = scaled_value_tables(inst)
     n = inst.agents
-    first_index: dict[tuple[int, ...], int] = {}
-    vector_count: dict[tuple[int, ...], int] = {}
-    for index, assignment in enumerate(assignments(n, inst.m)):
-        masks = bundle_masks(assignment, n)
-        vector = tuple(tables[i][masks[i]] for i in range(n))
-        if vector not in first_index:
-            first_index[vector] = index
-            vector_count[vector] = 1
-        else:
-            vector_count[vector] += 1
-    distinct = list(first_index)
-    max_abs = max((abs(entry) for table in tables for entry in table), default=0)
-    if (max_abs + 1) * n < 2**62:
-        array = np.array(distinct, dtype=np.int64)
-    else:
-        array = np.array(distinct, dtype=object)
-    front = _pareto_front_mask(array)
-    best = None  # ((nonzero_count, product), -canonical_index) to maximize
-    best_index = None
-    ties = 0
-    for vector, efficient in zip(distinct, front):
-        if not efficient:
-            continue
-        factors = [-entry for entry in vector]
-        nonzero = [f for f in factors if f]
-        score = (len(nonzero), prod(nonzero, start=1))
-        if best is None or score > best:
-            best = score
-            best_index = first_index[vector]
-            ties = vector_count[vector]
-        elif score == best:
-            ties += vector_count[vector]
-            best_index = min(best_index, first_index[vector])
+    rows = AllocationRows(inst)
+    vectors, counts, firsts = distinct_rows(rows)
+    efficient = np.flatnonzero(_pareto_front_mask(vectors))
+    # chores only: 0 <= -v_i(A_i) <= -v_i(M)
+    bound = max(-total for total in _scaled_totals(inst))
+    hits, _key = lex_max(_nash_columns(-vectors[efficient], bound))
+    optima = efficient[hits]
+    best_index = int(firsts[optima].min())
+    ties = int(counts[optima].sum())
     allocation = Allocation(n, assignment_at(n, inst.m, best_index))
     exact = exact_value_tables(inst)
     factors = tuple(

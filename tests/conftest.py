@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from hypothesis import settings
+
 from fairdiv import (
     AdditiveValuation,
     Allocation,
@@ -12,6 +14,11 @@ from fairdiv import (
 )
 
 ITEM_NAMES = "abcdefghijklmnop"
+
+# Property tests draw the same examples on every run, and first-call numpy
+# latency on a slow machine must not trip a deadline.
+settings.register_profile("fairdiv", derandomize=True, deadline=None)
+settings.load_profile("fairdiv")
 
 
 def additive(rows, aversion: bool = False) -> Instance:

@@ -1,0 +1,252 @@
+"""The enumeration kernel against the scalar Fraction oracle.
+
+Every exhaustive operation must reproduce the oracle's allocation, tie
+count, canonical-first tie-break and Pareto witness, on the int64 path
+and on the exact object-dtype path, whatever the chunking.
+"""
+
+from fractions import Fraction
+from unittest.mock import patch
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import oracle
+from conftest import additive, general
+from fairdiv import (
+    SPEC_NAMES,
+    UTILITY,
+    Allocation,
+    ObjectiveSpec,
+    check_PO,
+    constrained_mnw_solve,
+    is_leximin_optimal,
+    leximin_solve,
+    mnw_prime_solve,
+    modified_nash_welfare,
+    nash_prime_factors,
+    value,
+)
+from fairdiv import enumeration
+from fairdiv.enumeration import AllocationRows
+
+SPECS = tuple(SPEC_NAMES.values())
+
+#: Chunk sizes: one prefix per chunk, a few prefixes, and the default.
+BUDGETS = st.sampled_from([1, 7, enumeration.ROW_BUDGET])
+
+SIZES = st.tuples(st.integers(1, 4), st.integers(0, 6)).filter(
+    lambda size: size[0] ** size[1] <= 4096
+)
+
+
+def budget(rows):
+    return patch.object(enumeration, "ROW_BUDGET", rows)
+
+
+def fractions(low, high):
+    # small ranges make ties and zero Nash factors common
+    return st.builds(Fraction, st.integers(low, high), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def additive_instances(draw, low=-3, high=3):
+    n, m = draw(SIZES)
+    row = st.lists(fractions(low, high), min_size=m, max_size=m)
+    return additive(draw(st.lists(row, min_size=n, max_size=n)) if m else [()] * n)
+
+
+@st.composite
+def general_instances(draw):
+    """Identical set functions that are not additive: goods add the square
+    of their total weight, chores subtract the square of theirs, so every
+    item's marginal keeps one sign."""
+    n, m = draw(SIZES)
+    weights = draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
+    denominator = draw(st.sampled_from([1, 2, 3]))
+    table = []
+    for mask in range(1 << m):
+        held = [w for j, w in enumerate(weights) if mask >> j & 1]
+        goods = sum(w for w in held if w > 0)
+        chores = sum(-w for w in held if w < 0)
+        table.append(Fraction(goods**2 - chores**2, denominator))
+    return general(n, table)
+
+
+INSTANCES = st.one_of(additive_instances(), general_instances())
+CHORES = additive_instances(low=-3, high=0)
+
+
+@st.composite
+def with_allocation(draw, instances):
+    inst = draw(instances)
+    agents = st.integers(0, inst.agents - 1)
+    assignment = draw(st.lists(agents, min_size=inst.m, max_size=inst.m))
+    return inst, Allocation(inst.agents, tuple(assignment))
+
+
+def assert_leximin_matches(inst, spec):
+    res = leximin_solve(inst, spec)
+    assignment, ties = oracle.leximin(inst, spec)
+    assert res.allocation.assignment == assignment
+    assert res.tie_count == ties
+    assert res.objective_vector == oracle._solver_key_fn(inst, spec)(assignment)
+    assert res.score is None
+    assert res.search_space == inst.agents**inst.m
+
+
+def assert_mnw_prime_matches(inst):
+    res = mnw_prime_solve(inst)
+    assignment, ties = oracle.mnw_prime(inst)
+    best = Allocation(inst.agents, assignment)
+    assert res.allocation == best
+    assert res.tie_count == ties
+    assert res.objective_vector == nash_prime_factors(inst, best)
+    assert res.score == modified_nash_welfare(inst, best)
+
+
+def assert_constrained_matches(inst):
+    res = constrained_mnw_solve(inst)
+    assignment, ties = oracle.constrained_mnw(inst)
+    assert res.allocation.assignment == assignment
+    assert res.tie_count == ties
+    assert res.objective_vector == tuple(
+        -value(inst, i, mask) for i, mask in enumerate(res.allocation.bundles())
+    )
+
+
+def assert_po_matches(inst, alloc):
+    witness = oracle.po_witness(inst, alloc)
+    res = check_PO(inst, alloc)
+    if witness is None:
+        assert res.holds
+    else:
+        assert res.witness.improvement == witness
+
+
+@settings(max_examples=60)
+@given(INSTANCES, st.sampled_from(SPECS), BUDGETS)
+def test_leximin_solve_matches_oracle(inst, spec, rows):
+    with budget(rows):
+        assert_leximin_matches(inst, spec)
+
+
+@settings(max_examples=40)
+@given(with_allocation(INSTANCES), st.sampled_from(SPECS))
+def test_is_leximin_optimal_matches_oracle(case, spec):
+    inst, alloc = case
+    assert is_leximin_optimal(inst, spec, alloc) == oracle.is_leximin_optimal(
+        inst, spec, alloc
+    )
+    best = Allocation(inst.agents, oracle.leximin(inst, spec)[0])
+    assert is_leximin_optimal(inst, spec, best)
+
+
+@settings(max_examples=40)
+@given(CHORES, BUDGETS)
+def test_mnw_prime_solve_matches_oracle(inst, rows):
+    with budget(rows):
+        assert_mnw_prime_matches(inst)
+
+
+@settings(max_examples=40)
+@given(CHORES, BUDGETS)
+def test_constrained_mnw_solve_matches_oracle(inst, rows):
+    with budget(rows):
+        assert_constrained_matches(inst)
+
+
+@settings(max_examples=60)
+@given(with_allocation(INSTANCES), BUDGETS)
+def test_check_PO_matches_oracle(case, rows):
+    with budget(rows):
+        assert_po_matches(*case)
+
+
+def _spread(inst, agent, bundle):
+    # a custom objective: value first, then fewer items is better
+    return (value(inst, agent, bundle), -bundle.bit_count())
+
+
+@settings(max_examples=15)
+@given(additive_instances().filter(lambda inst: inst.agents**inst.m <= 729))
+def test_custom_spec_matches_oracle(inst):
+    spec = ObjectiveSpec(ObjectiveSpec.CUSTOM, _spread)
+    assert_leximin_matches(inst, spec)
+
+
+def test_single_agent_and_no_items():
+    lone = additive([(-1, 2, Fraction(1, 3))])
+    empty = additive([()] * 3)
+    for inst in (lone, empty):
+        for spec in SPECS:
+            assert_leximin_matches(inst, spec)
+        assert_po_matches(inst, Allocation(inst.agents, (0,) * inst.m))
+    chores = additive([(-1, -2)])
+    assert_mnw_prime_matches(chores)
+    assert_constrained_matches(chores)
+    assert leximin_solve(empty).allocation.assignment == ()
+    assert leximin_solve(empty).tie_count == 1
+
+
+# ------------------------------------------------- exact fallback paths
+
+HUGE = (10**20 + 39, 2**70 + 1)
+
+
+def huge_rows(sign):
+    """3 x 4 values over denominators whose lcm exceeds 2^62."""
+    numerators = [(1, 3, 2, 5), (4, 1, 1, 2), (2, 2, 6, 1)]
+    return [
+        [Fraction(sign * k, HUGE[(i + j) % 2]) for j, k in enumerate(row)]
+        for i, row in enumerate(numerators)
+    ]
+
+
+def test_huge_denominators_take_the_exact_path():
+    mixed = additive(
+        [[v if j % 2 else -v for j, v in enumerate(row)] for row in huge_rows(1)]
+    )
+    chores = additive(huge_rows(-1))
+    h0, h1 = HUGE
+    table = general(2, [0, Fraction(3, h1), Fraction(4, h0), Fraction(10, h0)])
+    for inst in (mixed, chores, table):
+        assert AllocationRows(inst).dtype is object
+        for spec in SPECS:
+            assert_leximin_matches(inst, spec)
+        for assignment in ((0, 1, 2, 0), (1, 1, 0, 2), (0, 0)):
+            if len(assignment) == inst.m:
+                alloc = Allocation(inst.agents, assignment)
+                assert_po_matches(inst, alloc)
+                assert is_leximin_optimal(inst, UTILITY, alloc) == (
+                    oracle.is_leximin_optimal(inst, UTILITY, alloc)
+                )
+    assert_mnw_prime_matches(chores)
+    assert_constrained_matches(chores)
+
+
+def test_nash_products_beyond_int64_stay_exact():
+    # entries fit int64, but four factors near 2^20 multiply past 2^63
+    inst = additive([[-(2**19) - 3 * i - j for j in range(5)] for i in range(4)])
+    assert AllocationRows(inst).dtype is np.int64
+    assert_mnw_prime_matches(inst)
+    assert_constrained_matches(inst)
+
+
+# ------------------------------------------------------ chunk boundaries
+
+def test_tied_optima_straddle_a_chunk_boundary():
+    # one item each is optimal both ways round: canonical indices 1 and 2,
+    # which a one-prefix chunk puts in different chunks
+    inst = additive([(1, 1), (1, 1)])
+    with budget(1):
+        assert len(list(AllocationRows(inst).chunks())) == 2
+        res = leximin_solve(inst)
+        assert res.allocation.assignment == (0, 1)
+        assert res.tie_count == 2
+        split = constrained_mnw_solve(additive([(-1, -1), (-1, -1)]))
+        assert split.allocation.assignment == (0, 1)
+        assert split.tie_count == 2
+        # the first improvement of (0, 0) is the swap at index 2
+        swap = check_PO(additive([(0, 1), (1, 0)]), Allocation(2, (0, 0)))
+        assert swap.witness.improvement.assignment == (1, 0)
