@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import additive, general
@@ -18,6 +19,7 @@ from fairdiv import (
     modified_nash_welfare,
     nash_prime_factors,
 )
+from fairdiv.welfare import _pareto_front_mask
 
 MNW = fixture_instance("mnw")
 CIRCLED = Allocation(3, (0, 0, 0, 1, 2))
@@ -111,3 +113,25 @@ def test_constrained_solve_guard():
     inst = additive([[-1] * 10] * 3)
     with pytest.raises(SearchSpaceTooLarge):
         constrained_mnw_solve(inst, max_space=1000)
+
+
+def _brute_front_mask(vectors):
+    return [
+        not any(
+            all(a >= b for a, b in zip(other, row)) and tuple(other) != tuple(row)
+            for other in vectors
+        )
+        for row in vectors
+    ]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_pareto_front_mask_matches_pairwise_domination(dtype):
+    # two 512-row batches of 64-row chunks, with ties in every
+    # coordinate and in the totals
+    rng = np.random.default_rng(3)
+    vectors = np.unique(rng.integers(0, 12, size=(1500, 3)), axis=0)
+    vectors = vectors[rng.permutation(len(vectors))].astype(dtype)
+    mask = _pareto_front_mask(vectors)
+    assert mask.dtype == bool
+    assert mask.tolist() == _brute_front_mask(vectors.tolist())
