@@ -33,7 +33,7 @@ from math import lcm
 import numpy as np
 
 from .errors import SearchSpaceTooLarge
-from .model import AdditiveValuation, Instance
+from .model import AdditiveValuation, Instance, scaled_table
 
 #: Default cap on the number of allocations an exhaustive operation may visit.
 DEFAULT_MAX_SPACE = 10_000_000
@@ -95,12 +95,9 @@ def exact_value_tables(inst: Instance) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def value_scale(inst: Instance) -> int:
-    """The least common multiple of every denominator in the instance."""
-    if isinstance(inst.valuation, AdditiveValuation):
-        entries = [entry for row in inst.valuation.matrix for entry in row]
-    else:
-        entries = inst.valuation.table
-    return lcm(*(entry.denominator for entry in entries))
+    """The least common multiple of every denominator of an additive
+    instance."""
+    return lcm(*{entry.denominator for row in inst.valuation.matrix for entry in row})
 
 
 @lru_cache(maxsize=32)
@@ -112,15 +109,15 @@ def scaled_value_tables(inst: Instance) -> tuple[tuple[tuple[int, ...], ...], in
     values, including across agents, agree with the exact comparisons.
     Returns (tables, scale).
     """
-    scale = value_scale(inst)
     if isinstance(inst.valuation, AdditiveValuation):
+        scale = value_scale(inst)
         tables = tuple(
             tuple(int(entry * scale) for entry in table)
             for table in exact_value_tables(inst)
         )
     else:
-        shared = tuple(int(entry * scale) for entry in inst.valuation.table)
-        tables = tuple([shared] * inst.agents)
+        lookup, scale = scaled_table(inst.valuation)
+        tables = (tuple(lookup.tolist()),) * inst.agents
     return tables, scale
 
 
@@ -166,8 +163,8 @@ class AllocationRows:
             bound = 0
         else:
             contributions = extra
-            lookup = scaled_value_tables(inst)[0][0]
-            bound = max(map(abs, lookup)) * weight
+            lookup, _scale = scaled_table(inst.valuation)
+            bound = int(np.abs(lookup).max()) * weight
         bound += max(sum(abs(entry) for entry in row) for row in contributions)
         dtype = np.int64 if n * bound < INT64_LIMIT else object
         self.dtype = dtype
@@ -177,7 +174,7 @@ class AllocationRows:
         self.suffix = _block(contributions[:, k:])
         self.lookup = None
         if lookup is not None:
-            self.lookup = np.array(lookup, dtype=dtype) * weight
+            self.lookup = lookup.astype(dtype, copy=False) * weight
             bits = np.array([[1 << j for j in range(m)]] * n, dtype=np.int64)
             self.prefix_masks = _block(bits[:, :k])
             self.suffix_masks = _block(bits[:, k:])

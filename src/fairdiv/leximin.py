@@ -25,7 +25,6 @@ import numpy as np
 from .enumeration import (
     AllocationRows,
     assignment_at,
-    exact_value_tables,
     guard_search_space,
     lex_argmax,
 )
@@ -36,6 +35,7 @@ from .model import (
     SolveResult,
     classify_items,
     require_allocation,
+    value,
 )
 
 #: Permutation of agents sorting their objective tuples in nondecreasing
@@ -83,7 +83,7 @@ def objective(inst: Instance, spec: ObjectiveSpec, agent: int, bundle: Bundle) -
     """The objective tuple of one agent for one bundle, exact."""
     if spec.kind == ObjectiveSpec.CUSTOM:
         return tuple(spec.custom(inst, agent, bundle))
-    val = exact_value_tables(inst)[agent][bundle]
+    val = value(inst, agent, bundle)
     if spec.kind == ObjectiveSpec.UTILITY:
         return (val,)
     cls = classify_items(inst)

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 from typing import Union
+
+import numpy as np
 
 from .errors import (
     InvalidAllocation,
@@ -96,7 +99,12 @@ class AdditiveValuation:
 @dataclass(frozen=True)
 class GeneralIdenticalValuation:
     """One set function shared by all agents, as a dense table of 2^m exact
-    values indexed by bundle bitmask."""
+    values indexed by bundle bitmask.
+
+    The hash is computed once, on first use: every cached function keyed
+    on an instance hashes it, and hashing 2^16 ``Fraction`` values takes
+    tens of milliseconds. Equality still compares the tables.
+    """
 
     table: tuple[Fraction, ...]
 
@@ -108,6 +116,13 @@ class GeneralIdenticalValuation:
             raise InvalidInstance(
                 f"general valuation table length must be a power of two, got {size}"
             )
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.table)
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 Valuation = Union[AdditiveValuation, GeneralIdenticalValuation]
@@ -274,6 +289,60 @@ class SolveResult:
     search_space: int
 
 
+def scaled_table(valuation: GeneralIdenticalValuation) -> tuple[np.ndarray, int]:
+    """A general table as exact integers under one positive scale.
+
+    Every entry is multiplied by the least common multiple of the table's
+    denominators, so integer order on the result is exact order on the
+    values. The array is int64 when every scaled entry lies strictly
+    between -2^63 and 2^63, and otherwise a ``dtype=object`` array of
+    Python integers. Returns (array indexed by bundle bitmask, scale).
+    """
+    table = valuation.table
+    scale = lcm(*{entry.denominator for entry in table})
+
+    def entries():
+        return (entry.numerator * (scale // entry.denominator) for entry in table)
+
+    try:
+        scaled = np.fromiter(entries(), np.int64, len(table))
+        if scaled.min() > np.iinfo(np.int64).min:
+            return scaled, scale
+    except OverflowError:
+        pass
+    return np.fromiter(entries(), object, len(table)), scale
+
+
+def _first_subset(hits: np.ndarray, item: int) -> Bundle | None:
+    """The subset behind the first hit of a marginal comparison, or None.
+
+    Hit p is the p-th subset without ``item`` in ascending order; putting
+    a zero bit at position ``item`` back into p gives its bitmask.
+    """
+    p = int(hits.argmax())
+    if not hits.flat[p]:
+        return None
+    return ((p >> item) << (item + 1)) | (p & ((1 << item) - 1))
+
+
+def _marginal_signs(valuation: GeneralIdenticalValuation):
+    """For each item j in order, yield (j, the first subset on which j's
+    marginal is positive, the first on which it is negative), each the
+    smallest such bitmask without bit j, or None where there is none.
+
+    One comparison per marginal on :func:`scaled_table`: viewing the table
+    as (-1, 2, 2^j) puts every subset without j (slot 0) next to the same
+    subset with j (slot 1), both in ascending order. Comparing instead of
+    subtracting keeps int64 entries from overflowing.
+    """
+    scaled, _scale = scaled_table(valuation)
+    m = len(scaled).bit_length() - 1
+    for j in range(m):
+        pairs = scaled.reshape(-1, 2, 1 << j)
+        without, with_j = pairs[:, 0], pairs[:, 1]
+        yield j, _first_subset(with_j > without, j), _first_subset(with_j < without, j)
+
+
 def validate_instance(inst: Instance) -> Instance:
     """Check the semantic invariants of an instance and return it.
 
@@ -281,28 +350,20 @@ def validate_instance(inst: Instance) -> Instance:
     give the empty bundle value 0 and be item-wise monotone: each item's
     marginal keeps one sign over all subsets, so every item is globally a
     good or globally a chore. Violations raise :class:`NonzeroEmptySet` or
-    :class:`MixedMonotonicity` with a concrete witness.
+    :class:`MixedMonotonicity`; the latter names the lowest mixed item and
+    the smallest subset bitmasks on which its marginal is positive and
+    negative. The marginals are compared exactly on :func:`scaled_table`
+    (int64 when every scaled entry is below 2^63 in absolute value, Python
+    integers otherwise), never as ``Fraction`` differences or floats.
     """
     if isinstance(inst.valuation, AdditiveValuation):
         return inst
     table = inst.valuation.table
     if table[0] != 0:
         raise NonzeroEmptySet(table[0])
-    m = inst.m
-    for j in range(m):
-        bit = 1 << j
-        raising = None
-        lowering = None
-        for sub in range(1 << m):
-            if sub & bit:
-                continue
-            marginal = table[sub | bit] - table[sub]
-            if marginal > 0 and raising is None:
-                raising = sub
-            elif marginal < 0 and lowering is None:
-                lowering = sub
-            if raising is not None and lowering is not None:
-                raise MixedMonotonicity(j, raising, lowering)
+    for item, raising, lowering in _marginal_signs(inst.valuation):
+        if raising is not None and lowering is not None:
+            raise MixedMonotonicity(item, raising, lowering)
     return inst
 
 
@@ -311,10 +372,11 @@ def classify_items(inst: Instance) -> ItemClassification:
     """Split items into goods and chores for each agent.
 
     Additive: item j is a good for agent i iff v_i(j) >= 0 (zero-valued
-    items count as goods). General identical: item j is a good iff all of
-    its marginals are >= 0; the classification is shared by all agents.
+    items count as goods). General identical: item j is a good iff none
+    of its marginals is negative, read from the same exact integer
+    comparisons as :func:`validate_instance` makes; the classification is
+    shared by all agents.
     """
-    m = inst.m
     if isinstance(inst.valuation, AdditiveValuation):
         goods = []
         for row in inst.valuation.matrix:
@@ -324,19 +386,10 @@ def classify_items(inst: Instance) -> ItemClassification:
                     mask |= 1 << j
             goods.append(mask)
     else:
-        table = inst.valuation.table
         shared = 0
-        for j in range(m):
-            bit = 1 << j
-            good = True
-            for sub in range(1 << m):
-                if sub & bit:
-                    continue
-                if table[sub | bit] - table[sub] < 0:
-                    good = False
-                    break
-            if good:
-                shared |= bit
+        for j, _raising, lowering in _marginal_signs(inst.valuation):
+            if lowering is None:
+                shared |= 1 << j
         goods = [shared] * inst.agents
     full = inst.full_mask
     return ItemClassification(

@@ -45,23 +45,35 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
-def instance_from_dict(data: dict) -> Instance:
+def _entries(valuation: dict, key: str) -> list:
+    entries = valuation.get(key)
+    if not isinstance(entries, list):
+        raise InvalidInstance(
+            f"{valuation['type']} valuation needs a list {key!r}, "
+            f"got {type(entries).__name__}"
+        )
+    return entries
+
+
+def _parse_instance(data: dict) -> Instance:
+    """The instance a document describes, not yet validated."""
     try:
         agents = data["agents"]
-        items = tuple(data["items"])
+        items = data["items"]
         valuation = data["valuation"]
         vtype = valuation["type"]
     except (KeyError, TypeError) as exc:
         raise InvalidInstance(f"malformed instance document: {exc}") from None
     if not isinstance(agents, int) or isinstance(agents, bool):
         raise InvalidInstance("agents must be an integer")
-    if not all(isinstance(name, str) for name in items):
-        raise InvalidInstance("item names must be strings")
+    if not isinstance(items, list) or not all(isinstance(name, str) for name in items):
+        raise InvalidInstance("items must be a list of strings")
+    items = tuple(items)
     if vtype == "additive":
-        matrix = tuple(
-            tuple(parse_value(entry) for entry in row)
-            for row in valuation["matrix"]
-        )
+        rows = _entries(valuation, "matrix")
+        if not all(isinstance(row, list) for row in rows):
+            raise InvalidInstance("additive matrix rows must be lists")
+        matrix = tuple(tuple(parse_value(entry) for entry in row) for row in rows)
         model = AdditiveValuation(matrix)
     elif vtype == "general-identical":
         if len(items) > MAX_GENERAL_ITEMS:
@@ -69,11 +81,15 @@ def instance_from_dict(data: dict) -> Instance:
                 f"general-identical instances are capped at "
                 f"{MAX_GENERAL_ITEMS} items, got {len(items)}"
             )
-        table = tuple(parse_value(entry) for entry in valuation["table"])
+        table = tuple(parse_value(entry) for entry in _entries(valuation, "table"))
         model = GeneralIdenticalValuation(table)
     else:
         raise InvalidInstance(f"unknown valuation type {vtype!r}")
-    return validate_instance(Instance(agents=agents, items=items, valuation=model))
+    return Instance(agents=agents, items=items, valuation=model)
+
+
+def instance_from_dict(data: dict) -> Instance:
+    return validate_instance(_parse_instance(data))
 
 
 def allocation_to_dict(inst: Instance, alloc: Allocation) -> dict:
@@ -115,7 +131,10 @@ def instance_to_json(inst: Instance) -> str:
 
 
 def instance_from_json(text: str) -> Instance:
-    return instance_from_dict(json.loads(text))
+    # The parsed document is released before validation starts: for a
+    # 16-item general table it holds 65,536 strings, and keeping them
+    # alive through validation raised the process's peak memory.
+    return validate_instance(_parse_instance(json.loads(text)))
 
 
 def allocation_to_json(inst: Instance, alloc: Allocation) -> str:

@@ -24,7 +24,6 @@ from .enumeration import (
     AllocationRows,
     assignment_at,
     distinct_rows,
-    exact_value_tables,
     guard_search_space,
     lex_argmax,
     lex_max,
@@ -37,6 +36,7 @@ from .model import (
     Instance,
     SolveResult,
     require_allocation,
+    value,
 )
 
 
@@ -69,9 +69,8 @@ def nash_prime_factors(inst: Instance, alloc: Allocation) -> tuple[Fraction, ...
     values equals v_i(A_i) - v_i(M)."""
     _require_chores_only(inst)
     require_allocation(inst, alloc)
-    tables = exact_value_tables(inst)
     return tuple(
-        tables[i][mask] - tables[i][inst.full_mask]
+        value(inst, i, mask) - value(inst, i, inst.full_mask)
         for i, mask in enumerate(alloc.bundles())
     )
 
@@ -202,10 +201,7 @@ def constrained_mnw_solve(inst: Instance, max_space: int | None = None) -> Solve
     best_index = int(firsts[optima].min())
     ties = int(counts[optima].sum())
     allocation = Allocation(n, assignment_at(n, inst.m, best_index))
-    exact = exact_value_tables(inst)
-    factors = tuple(
-        -exact[i][mask] for i, mask in enumerate(allocation.bundles())
-    )
+    factors = tuple(-value(inst, i, mask) for i, mask in enumerate(allocation.bundles()))
     return SolveResult(
         allocation=allocation,
         objective_vector=factors,

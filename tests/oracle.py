@@ -1,9 +1,11 @@
 """Reference implementations of every exhaustive operation.
 
-Plain scalar loops over all n^m assignments in canonical order, on exact
-``Fraction`` values. The vectorized enumeration kernel must agree with
-them on the allocation, the tie count, the canonical-first tie-break and
-the Pareto witness.
+Plain scalar loops over all n^m assignments in canonical order, and over
+all m * 2^(m-1) marginals of a general table, on exact ``Fraction``
+values. The vectorized enumeration kernel must agree with them on the
+allocation, the tie count, the canonical-first tie-break and the Pareto
+witness; the integer marginal pass behind ``validate_instance`` and
+``classify_items`` must agree on every error, witness and item split.
 """
 
 from __future__ import annotations
@@ -12,8 +14,73 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
-from fairdiv import Allocation, ObjectiveSpec, classify_items
+from fairdiv import (
+    AdditiveValuation,
+    Allocation,
+    ItemClassification,
+    MixedMonotonicity,
+    NonzeroEmptySet,
+    ObjectiveSpec,
+)
 from fairdiv.enumeration import exact_value_tables
+
+
+def validate_instance(inst):
+    """Scan every marginal of a general table in ascending subset order."""
+    if isinstance(inst.valuation, AdditiveValuation):
+        return inst
+    table = inst.valuation.table
+    if table[0] != 0:
+        raise NonzeroEmptySet(table[0])
+    m = inst.m
+    for j in range(m):
+        bit = 1 << j
+        raising = None
+        lowering = None
+        for sub in range(1 << m):
+            if sub & bit:
+                continue
+            marginal = table[sub | bit] - table[sub]
+            if marginal > 0 and raising is None:
+                raising = sub
+            elif marginal < 0 and lowering is None:
+                lowering = sub
+            if raising is not None and lowering is not None:
+                raise MixedMonotonicity(j, raising, lowering)
+    return inst
+
+
+def classify_items(inst):
+    """Goods are items with no negative value (additive) or no negative
+    marginal (general), found by scanning."""
+    m = inst.m
+    if isinstance(inst.valuation, AdditiveValuation):
+        goods = []
+        for row in inst.valuation.matrix:
+            mask = 0
+            for j, entry in enumerate(row):
+                if entry >= 0:
+                    mask |= 1 << j
+            goods.append(mask)
+    else:
+        table = inst.valuation.table
+        shared = 0
+        for j in range(m):
+            bit = 1 << j
+            good = True
+            for sub in range(1 << m):
+                if sub & bit:
+                    continue
+                if table[sub | bit] - table[sub] < 0:
+                    good = False
+                    break
+            if good:
+                shared |= bit
+        goods = [shared] * inst.agents
+    full = inst.full_mask
+    return ItemClassification(
+        goods=tuple(goods), chores=tuple(full & ~g for g in goods)
+    )
 
 
 def assignments(n: int, m: int):

@@ -290,3 +290,21 @@ def test_malformed_allocation_exits_two(tmp_path):
     )
     assert res.exit_code == 2
     assert "error:" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"agents": 1, "items": ["a"], "valuation": {"type": "additive"}},
+        {"agents": 1, "items": ["a"], "valuation": {"type": "general-identical"}},
+        {"agents": 1, "items": ["a"], "valuation": {"type": "general-identical", "table": None}},
+        {"agents": 1, "items": "ab", "valuation": {"type": "additive", "matrix": [["1", "2"]]}},
+    ],
+    ids=["additive-without-matrix", "general-without-table", "null-table", "items-as-string"],
+)
+def test_malformed_instance_exits_two(tmp_path, document):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(document))
+    res = runner.invoke(main, ["solve", "--instance", str(path), "--method", "leximin"])
+    assert res.exit_code == 2
+    assert "error:" in res.stderr

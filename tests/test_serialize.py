@@ -75,6 +75,12 @@ def test_general_item_cap():
         lambda d: d["valuation"].update(type="mystery"),
         lambda d: d.update(agents=True),
         lambda d: d.update(items=["a", 3]),
+        lambda d: d.update(items="ab"),
+        lambda d: d["valuation"].pop("matrix"),
+        lambda d: d["valuation"].update(matrix=["-1", "-2"]),
+        lambda d: d["valuation"].update(type="general-identical"),
+        lambda d: d["valuation"].update(type="general-identical", table=None),
+        lambda d: d["valuation"].update(type="general-identical", table="0000"),
     ],
 )
 def test_malformed_instance_documents(mutate):
