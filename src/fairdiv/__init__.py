@@ -30,7 +30,7 @@ from .audit import (
     eliminate_envy_cycles,
     envies,
 )
-from .enumeration import DEFAULT_MAX_SPACE, guard_search_space, search_space_size
+from .enumeration import DEFAULT_MAX_SPACE, guard_search_space
 from .errors import (
     FairdivError,
     FixtureMismatch,

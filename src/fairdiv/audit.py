@@ -22,7 +22,7 @@ chores of agent i from :func:`fairdiv.model.classify_items`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -38,7 +38,6 @@ from .enumeration import (
 from .errors import SearchSpaceTooLarge
 from .model import (
     Allocation,
-    Bundle,
     Instance,
     classify_items,
     format_value,
@@ -60,8 +59,25 @@ class Verdict(Enum):
     NOT_APPLICABLE = "not-applicable"
 
 
+class _Witness:
+    """Renders a witness dataclass field by field, in field order: exact
+    values as strings, and the field ``item`` by name when an instance is
+    given."""
+
+    def as_dict(self, inst: Instance | None = None) -> dict:
+        out = {}
+        for field in fields(self):
+            entry = getattr(self, field.name)
+            if isinstance(entry, Fraction):
+                entry = format_value(entry)
+            elif field.name == "item" and inst is not None and entry is not None:
+                entry = inst.items[entry]
+            out[field.name] = entry
+        return out
+
+
 @dataclass(frozen=True)
-class EnvyWitness:
+class EnvyWitness(_Witness):
     """Agent i strictly prefers agent j's bundle."""
 
     i: int
@@ -69,17 +85,9 @@ class EnvyWitness:
     own: Fraction
     other: Fraction
 
-    def as_dict(self, inst: Instance | None = None) -> dict:
-        return {
-            "i": self.i,
-            "j": self.j,
-            "own": format_value(self.own),
-            "other": format_value(self.other),
-        }
-
 
 @dataclass(frozen=True)
-class EfxWitness:
+class EfxWitness(_Witness):
     """A single-item adjustment that leaves agent i still envious.
 
     ``side`` tells which adjustment failed: removing the good ``item``
@@ -96,22 +104,9 @@ class EfxWitness:
     own: Fraction
     adjusted: Fraction
 
-    def as_dict(self, inst: Instance | None = None) -> dict:
-        item = self.item
-        if inst is not None and item is not None:
-            item = inst.items[item]
-        return {
-            "i": self.i,
-            "j": self.j,
-            "item": item,
-            "side": self.side,
-            "own": format_value(self.own),
-            "adjusted": format_value(self.adjusted),
-        }
-
 
 @dataclass(frozen=True)
-class Ef1Witness:
+class Ef1Witness(_Witness):
     """No single-item adjustment frees agent i of envy toward j.
 
     ``best_target`` is the most favourable adjusted value of j's bundle
@@ -124,36 +119,18 @@ class Ef1Witness:
     other: Fraction
     best_target: Optional[Fraction]
 
-    def as_dict(self, inst: Instance | None = None) -> dict:
-        return {
-            "i": self.i,
-            "j": self.j,
-            "own": format_value(self.own),
-            "other": format_value(self.other),
-            "best_target": None
-            if self.best_target is None
-            else format_value(self.best_target),
-        }
-
 
 @dataclass(frozen=True)
-class PropWitness:
+class PropWitness(_Witness):
     """Agent's bundle value falls short of the proportional share."""
 
     agent: int
     value: Fraction
     threshold: Fraction
 
-    def as_dict(self, inst: Instance | None = None) -> dict:
-        return {
-            "agent": self.agent,
-            "value": format_value(self.value),
-            "threshold": format_value(self.threshold),
-        }
-
 
 @dataclass(frozen=True)
-class Prop1Witness:
+class Prop1Witness(_Witness):
     """Even the best single-item adjustment misses the proportional share.
 
     ``best_adjusted`` is the best bundle value agent reaches by leaving
@@ -164,14 +141,6 @@ class Prop1Witness:
     value: Fraction
     best_adjusted: Fraction
     threshold: Fraction
-
-    def as_dict(self, inst: Instance | None = None) -> dict:
-        return {
-            "agent": self.agent,
-            "value": format_value(self.value),
-            "best_adjusted": format_value(self.best_adjusted),
-            "threshold": format_value(self.threshold),
-        }
 
 
 @dataclass(frozen=True)
@@ -213,6 +182,18 @@ class CheckResult:
         return self.verdict is Verdict.HOLDS
 
 
+def _envious_pairs(inst: Instance, masks):
+    """Yield (i, j, v_i(A_i), v_i(A_j)) for every pair in which agent i
+    envies agent j, in ascending (i, j) order."""
+    for i in range(inst.agents):
+        own = value(inst, i, masks[i])
+        for j in range(inst.agents):
+            if j != i:
+                other = value(inst, i, masks[j])
+                if own < other:
+                    yield i, j, own, other
+
+
 def envies(inst: Instance, alloc: Allocation, i: int, j: int) -> bool:
     """True iff agent i strictly prefers agent j's bundle to her own."""
     require_allocation(inst, alloc)
@@ -223,16 +204,10 @@ def envies(inst: Instance, alloc: Allocation, i: int, j: int) -> bool:
 def check_EF(inst: Instance, alloc: Allocation) -> CheckResult:
     """Envy-freeness: no agent strictly prefers another agent's bundle."""
     require_allocation(inst, alloc)
-    bundles = alloc.bundles()
-    for i in range(inst.agents):
-        own = value(inst, i, bundles[i])
-        for j in range(inst.agents):
-            if i == j:
-                continue
-            other = value(inst, i, bundles[j])
-            if own < other:
-                return CheckResult(Verdict.FAILS, EnvyWitness(i, j, own, other))
-    return CheckResult(Verdict.HOLDS)
+    pair = next(_envious_pairs(inst, alloc.bundles()), None)
+    if pair is None:
+        return CheckResult(Verdict.HOLDS)
+    return CheckResult(Verdict.FAILS, EnvyWitness(*pair))
 
 
 def _adjusted_targets(inst, cls, bundles, i, j):
@@ -262,25 +237,18 @@ def check_EFX(inst: Instance, alloc: Allocation) -> CheckResult:
     require_allocation(inst, alloc)
     cls = classify_items(inst)
     bundles = alloc.bundles()
-    for i in range(inst.agents):
-        own = value(inst, i, bundles[i])
-        for j in range(inst.agents):
-            if i == j:
-                continue
-            other = value(inst, i, bundles[j])
-            if own >= other:
-                continue
-            vacuous = True
-            for item, side, adjusted in _adjusted_targets(inst, cls, bundles, i, j):
-                vacuous = False
-                if own < adjusted:
-                    return CheckResult(
-                        Verdict.FAILS, EfxWitness(i, j, item, side, own, adjusted)
-                    )
-            if vacuous:
+    for i, j, own, other in _envious_pairs(inst, bundles):
+        vacuous = True
+        for item, side, adjusted in _adjusted_targets(inst, cls, bundles, i, j):
+            vacuous = False
+            if own < adjusted:
                 return CheckResult(
-                    Verdict.FAILS, EfxWitness(i, j, None, NO_ADJUSTMENT, own, other)
+                    Verdict.FAILS, EfxWitness(i, j, item, side, own, adjusted)
                 )
+        if vacuous:
+            return CheckResult(
+                Verdict.FAILS, EfxWitness(i, j, None, NO_ADJUSTMENT, own, other)
+            )
     return CheckResult(Verdict.HOLDS)
 
 
@@ -291,22 +259,13 @@ def check_EF1(inst: Instance, alloc: Allocation) -> CheckResult:
     require_allocation(inst, alloc)
     cls = classify_items(inst)
     bundles = alloc.bundles()
-    for i in range(inst.agents):
-        own = value(inst, i, bundles[i])
-        for j in range(inst.agents):
-            if i == j:
-                continue
-            other = value(inst, i, bundles[j])
-            if own >= other:
-                continue
-            best = None
-            for _item, _side, adjusted in _adjusted_targets(inst, cls, bundles, i, j):
-                if best is None or adjusted < best:
-                    best = adjusted
-            if best is None or own < best:
-                return CheckResult(
-                    Verdict.FAILS, Ef1Witness(i, j, own, other, best)
-                )
+    for i, j, own, other in _envious_pairs(inst, bundles):
+        best = min(
+            (adjusted for _, _, adjusted in _adjusted_targets(inst, cls, bundles, i, j)),
+            default=None,
+        )
+        if best is None or own < best:
+            return CheckResult(Verdict.FAILS, Ef1Witness(i, j, own, other, best))
     return CheckResult(Verdict.HOLDS)
 
 
@@ -452,24 +411,8 @@ class EnvyGraph:
 
 def build_envy_graph(inst: Instance, alloc: Allocation) -> EnvyGraph:
     require_allocation(inst, alloc)
-    bundles = alloc.bundles()
-    edges = []
-    for u in range(inst.agents):
-        own = value(inst, u, bundles[u])
-        for w in range(inst.agents):
-            if u != w and own < value(inst, u, bundles[w]):
-                edges.append((u, w))
-    return EnvyGraph(inst.agents, tuple(edges))
-
-
-def _envy_adjacency(inst: Instance, masks: list[Bundle]) -> list[list[int]]:
-    adjacency = []
-    for u in range(inst.agents):
-        own = value(inst, u, masks[u])
-        adjacency.append(
-            [w for w in range(inst.agents) if u != w and own < value(inst, u, masks[w])]
-        )
-    return adjacency
+    pairs = _envious_pairs(inst, alloc.bundles())
+    return EnvyGraph(inst.agents, tuple((i, j) for i, j, _own, _other in pairs))
 
 
 def _first_cycle(n: int, adjacency: list[list[int]]) -> list[int] | None:
@@ -512,7 +455,10 @@ def eliminate_envy_cycles(inst: Instance, alloc: Allocation) -> Allocation:
     require_allocation(inst, alloc)
     masks = list(alloc.bundles())
     while True:
-        cycle = _first_cycle(inst.agents, _envy_adjacency(inst, masks))
+        adjacency = [[] for _ in range(inst.agents)]
+        for i, j, _own, _other in _envious_pairs(inst, masks):
+            adjacency[i].append(j)
+        cycle = _first_cycle(inst.agents, adjacency)
         if cycle is None:
             return Allocation.from_bundles(inst.agents, masks, inst.m)
         previous = list(masks)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -28,6 +27,7 @@ from .serialize import (
     dumps,
     instance_from_json,
     instance_to_dict,
+    objective_vector_to_list,
 )
 
 
@@ -50,14 +50,6 @@ def _load_allocation(inst, path: str):
     return allocation_from_dict(inst, document)
 
 
-def _render(entry):
-    if isinstance(entry, tuple):
-        return [_render(part) for part in entry]
-    if isinstance(entry, Fraction):
-        return format_value(entry)
-    return entry
-
-
 def _score_dict(score):
     if score is None:
         return None
@@ -70,10 +62,7 @@ def _score_dict(score):
 def _guarded(fn):
     try:
         return fn()
-    except FairdivError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    except ValueError as exc:
+    except (FairdivError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
 
@@ -124,7 +113,7 @@ def solve(instance_path, method, objective, trace, max_space):
                 {
                     "method": effective,
                     "allocation": allocation_to_dict(inst, result.allocation),
-                    "objective_vector": [_render(t) for t in result.objective_vector],
+                    "objective_vector": objective_vector_to_list(result.objective_vector),
                     "score": _score_dict(result.score),
                     "tie_count": result.tie_count,
                     "search_space": result.search_space,

@@ -48,14 +48,10 @@ ROW_BUDGET = 1 << 13
 INT64_LIMIT = 2**62
 
 
-def search_space_size(n: int, m: int) -> int:
-    return n**m
-
-
 def guard_search_space(n: int, m: int, max_space: int | None = None) -> int:
     """Return n^m, raising :class:`SearchSpaceTooLarge` above the cap."""
     limit = DEFAULT_MAX_SPACE if max_space is None else max_space
-    size = search_space_size(n, m)
+    size = n**m
     if size > limit:
         raise SearchSpaceTooLarge(size, limit)
     return size

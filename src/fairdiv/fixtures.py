@@ -22,8 +22,8 @@ from .audit import (
 )
 from .errors import FixtureMismatch
 from .methods import solve_with_method
-from .model import AdditiveValuation, Allocation, Instance, SolveResult, format_value
-from .serialize import allocation_to_dict
+from .model import AdditiveValuation, Allocation, Instance, SolveResult
+from .serialize import allocation_to_dict, objective_vector_to_list
 from .welfare import WelfareScore
 
 _FAILURE_CHECKS = {"ef1": check_EF1, "prop1": check_PROP1}
@@ -33,10 +33,6 @@ def _chores(rows) -> AdditiveValuation:
     return AdditiveValuation(
         tuple(tuple(Fraction(v) for v in row) for row in rows)
     )
-
-
-def _f(text: str) -> Fraction:
-    return Fraction(text)
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,7 @@ def _table1() -> FixtureSpec:
     # Five agents, seven chores. Agent 1's mild chores a, b, c are severe
     # for everyone else; each row totals -55. The leximin allocation
     # fails PROP1: agent 1 stays below -11 even after her best removal.
-    heavy = [_f("-18.1")] * 3
+    heavy = [Fraction("-18.1")] * 3
     light = {
         1: ["-0.1", "-0.2", "-0.2", "-0.2"],
         2: ["-0.2", "-0.1", "-0.2", "-0.2"],
@@ -88,7 +84,7 @@ def _table1() -> FixtureSpec:
     }
     rows = [tuple(map(Fraction, (-6, -6, -6, -9, -9, -9, -10)))]
     for i in range(1, 5):
-        rows.append(tuple(heavy + [_f(v) for v in light[i]]))
+        rows.append(tuple(heavy + [Fraction(v) for v in light[i]]))
     inst = Instance(5, tuple("abcdefg"), AdditiveValuation(tuple(rows)))
     return FixtureSpec(
         name="table1",
@@ -97,10 +93,10 @@ def _table1() -> FixtureSpec:
         expected_assignment=(0, 0, 0, 1, 2, 3, 4),
         expected_vector=(
             (Fraction(-18),),
-            (_f("-1/10"),),
-            (_f("-1/10"),),
-            (_f("-1/10"),),
-            (_f("-1/10"),),
+            (Fraction("-1/10"),),
+            (Fraction("-1/10"),),
+            (Fraction("-1/10"),),
+            (Fraction("-1/10"),),
         ),
         expected_score=None,
         failure_notion="prop1",
@@ -189,7 +185,7 @@ def _mnw3() -> FixtureSpec:
     inst = Instance(
         5,
         tuple("abcdefg"),
-        AdditiveValuation(tuple(tuple(_f(v) for v in row) for row in rows)),
+        AdditiveValuation(tuple(tuple(Fraction(v) for v in row) for row in rows)),
     )
     return FixtureSpec(
         name="mnw3",
@@ -197,18 +193,18 @@ def _mnw3() -> FixtureSpec:
         method="mnw-constrained",
         expected_assignment=(0, 0, 1, 1, 2, 3, 4),
         expected_vector=(
-            _f("45/2"),
-            _f("71/10"),
-            _f("34/5"),
-            _f("33/5"),
+            Fraction("45/2"),
+            Fraction("71/10"),
+            Fraction("34/5"),
+            Fraction("33/5"),
             Fraction(6),
         ),
-        expected_score=WelfareScore(5, _f("1075437/25")),
+        expected_score=WelfareScore(5, Fraction("1075437/25")),
         failure_notion="prop1",
         expected_witness=Prop1Witness(
             agent=0,
-            value=_f("-45/2"),
-            best_adjusted=_f("-103/10"),
+            value=Fraction("-45/2"),
+            best_adjusted=Fraction("-103/10"),
             threshold=Fraction(-10),
         ),
     )
@@ -253,8 +249,8 @@ def run_fixture(name: str, max_space: int | None = None) -> FixtureReport:
         diffs.append(
             _describe(
                 "objective vector",
-                tuple(map(_render, spec.expected_vector)),
-                tuple(map(_render, result.objective_vector)),
+                objective_vector_to_list(spec.expected_vector),
+                objective_vector_to_list(result.objective_vector),
             )
         )
     if spec.expected_score is not None and result.score != spec.expected_score:
@@ -285,11 +281,3 @@ def run_fixture(name: str, max_space: int | None = None) -> FixtureReport:
         failure_notion=spec.failure_notion,
         failure_witness=outcome.witness,
     )
-
-
-def _render(entry):
-    if isinstance(entry, tuple):
-        return tuple(map(_render, entry))
-    if isinstance(entry, Fraction):
-        return format_value(entry)
-    return entry

@@ -94,45 +94,33 @@ def objective(inst: Instance, spec: ObjectiveSpec, agent: int, bundle: Bundle) -
     return (val, goods_count, -chores_count)
 
 
+def _objective_tuples(inst: Instance, spec: ObjectiveSpec, alloc: Allocation) -> list:
+    """Each agent's objective tuple for her own bundle, in agent order."""
+    require_allocation(inst, alloc)
+    return [objective(inst, spec, i, mask) for i, mask in enumerate(alloc.bundles())]
+
+
 def agent_ordering(inst: Instance, spec: ObjectiveSpec, alloc: Allocation) -> AgentOrdering:
     """Agents sorted by increasing objective tuple, ties by agent index."""
-    require_allocation(inst, alloc)
-    bundles = alloc.bundles()
-    tuples = [objective(inst, spec, i, bundles[i]) for i in range(inst.agents)]
+    tuples = _objective_tuples(inst, spec, alloc)
     return tuple(sorted(range(inst.agents), key=lambda i: (tuples[i], i)))
 
 
 def sorted_objectives(inst: Instance, spec: ObjectiveSpec, alloc: Allocation) -> tuple:
     """The allocation's objective tuples in the agent ordering."""
-    require_allocation(inst, alloc)
-    bundles = alloc.bundles()
-    tuples = [objective(inst, spec, i, bundles[i]) for i in range(inst.agents)]
-    return tuple(sorted(tuples))
+    return tuple(sorted(_objective_tuples(inst, spec, alloc)))
 
 
 def precedes(inst: Instance, spec: ObjectiveSpec, a: Allocation, b: Allocation) -> bool:
     """The leximin comparison: does allocation ``a`` rank strictly below
     ``b``?
 
-    Sorts each allocation's agents by increasing objective tuple (ties by
-    agent index) and scans the two orderings position by position; the
-    first position whose tuples differ decides. Equal sorted sequences
-    are incomparable, so the relation is a strict weak order.
+    Sorts each allocation's objective tuples in increasing order and
+    compares the two sequences position by position; the first position
+    whose tuples differ decides. Equal sorted sequences are incomparable,
+    so the relation is a strict weak order.
     """
-    require_allocation(inst, a)
-    require_allocation(inst, b)
-    bundles_a = a.bundles()
-    bundles_b = b.bundles()
-    tuples_a = [objective(inst, spec, i, bundles_a[i]) for i in range(inst.agents)]
-    tuples_b = [objective(inst, spec, i, bundles_b[i]) for i in range(inst.agents)]
-    order_a = sorted(range(inst.agents), key=lambda i: (tuples_a[i], i))
-    order_b = sorted(range(inst.agents), key=lambda i: (tuples_b[i], i))
-    for pos in range(inst.agents):
-        fa = tuples_a[order_a[pos]]
-        fb = tuples_b[order_b[pos]]
-        if fa != fb:
-            return fa < fb
-    return False
+    return sorted_objectives(inst, spec, a) < sorted_objectives(inst, spec, b)
 
 
 def _objective_rows(inst: Instance, spec: ObjectiveSpec) -> AllocationRows:

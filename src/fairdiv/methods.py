@@ -3,11 +3,9 @@ the command line."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .greedy import alg_identical_trace
+from .greedy import alg_identical
 from .leximin import SPEC_NAMES, leximin_solve
-from .model import Allocation, Instance, SolveResult
+from .model import Instance, SolveResult, value
 from .welfare import constrained_mnw_solve, mnw_prime_solve
 
 METHODS = (
@@ -36,15 +34,12 @@ def solve_with_method(
     if method == "mnw-constrained":
         return constrained_mnw_solve(inst, max_space)
     if method == "alg-identical":
-        trace = alg_identical_trace(inst)
-        utilities = [Fraction(0)] * inst.agents
-        assignment = [0] * inst.m
-        for step in trace:
-            assignment[step.item] = step.agent
-            utilities = list(step.utilities)
+        allocation = alg_identical(inst)
         return SolveResult(
-            allocation=Allocation(inst.agents, tuple(assignment)),
-            objective_vector=tuple(utilities),
+            allocation=allocation,
+            objective_vector=tuple(
+                value(inst, i, mask) for i, mask in enumerate(allocation.bundles())
+            ),
             score=None,
             tie_count=1,
             search_space=0,

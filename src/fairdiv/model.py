@@ -130,17 +130,11 @@ Valuation = Union[AdditiveValuation, GeneralIdenticalValuation]
 
 @dataclass(frozen=True)
 class Instance:
-    """A fair-division instance: n agents, m named items, one valuation model.
-
-    ``aversion`` marks an instance whose values are aversions (absolute
-    disutilities) rather than utilities; it is set by :func:`aversion_view`
-    and never serialized.
-    """
+    """A fair-division instance: n agents, m named items, one valuation model."""
 
     agents: int
     items: tuple[str, ...]
     valuation: Valuation
-    aversion: bool = False
 
     def __post_init__(self):
         if self.agents < 1:
@@ -231,11 +225,7 @@ class Allocation:
         return tuple(masks)
 
     def bundle(self, agent: int) -> Bundle:
-        mask = 0
-        for j, owner in enumerate(self.assignment):
-            if owner == agent:
-                mask |= 1 << j
-        return mask
+        return self.bundles()[agent]
 
     @classmethod
     def from_bundles(cls, agents: int, masks, m: int) -> "Allocation":
@@ -435,7 +425,6 @@ def rescale_common_total(inst: Instance, total: Fraction) -> Instance:
         agents=inst.agents,
         items=inst.items,
         valuation=AdditiveValuation(tuple(rows)),
-        aversion=inst.aversion,
     )
 
 
@@ -443,9 +432,9 @@ def aversion_view(inst: Instance) -> Instance:
     """Negate a chores-only additive instance into aversion form.
 
     The result holds each agent's aversions u_i = |v_i| = -v_i, all
-    nonnegative, and is flagged so chores-only checker variants can tell
-    it apart from a utility instance. Raises :class:`NotChoresOnly` on the
-    first positively valued (agent, item) pair.
+    nonnegative. Raises :class:`NotAdditive` on a general valuation and
+    :class:`NotChoresOnly` on the first positively valued (agent, item)
+    pair.
     """
     if not isinstance(inst.valuation, AdditiveValuation):
         raise NotAdditive("the aversion view requires an additive instance")
@@ -458,5 +447,4 @@ def aversion_view(inst: Instance) -> Instance:
         agents=inst.agents,
         items=inst.items,
         valuation=AdditiveValuation(rows),
-        aversion=True,
     )

@@ -8,6 +8,7 @@ produce byte-identical documents.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 from .errors import InvalidAllocation, InvalidInstance
 from .model import (
@@ -103,21 +104,30 @@ def allocation_from_dict(inst: Instance, data: dict) -> Allocation:
         bundles = data["bundles"]
     except (KeyError, TypeError) as exc:
         raise InvalidAllocation(f"malformed allocation document: {exc}") from None
+    if not isinstance(bundles, list) or not all(isinstance(names, list) for names in bundles):
+        raise InvalidAllocation("bundles must be a list of lists of item names")
     if len(bundles) != inst.agents:
         raise InvalidAllocation(
             f"expected {inst.agents} bundles, got {len(bundles)}"
         )
-    assignment = [-1] * inst.m
-    for agent, names in enumerate(bundles):
-        for name in names:
-            j = inst.item_index(name)
-            if assignment[j] != -1:
-                raise InvalidAllocation(f"item {name!r} assigned twice")
-            assignment[j] = agent
-    if -1 in assignment:
-        missing = inst.items[assignment.index(-1)]
-        raise InvalidAllocation(f"item {missing!r} unassigned")
-    return Allocation(inst.agents, tuple(assignment))
+    masks = [inst.bundle_of(names) for names in bundles]
+    for names, mask in zip(bundles, masks):
+        if mask.bit_count() != len(names):
+            raise InvalidAllocation(f"bundle {names!r} names an item twice")
+    return Allocation.from_bundles(inst.agents, masks, inst.m)
+
+
+def objective_vector_to_list(vector) -> list:
+    """An objective vector as JSON data: tuples become lists and exact
+    values strings."""
+    out = []
+    for entry in vector:
+        if isinstance(entry, tuple):
+            entry = objective_vector_to_list(entry)
+        elif isinstance(entry, Fraction):
+            entry = format_value(entry)
+        out.append(entry)
+    return out
 
 
 def dumps(document: dict) -> str:

@@ -29,12 +29,11 @@ from .enumeration import (
     lex_max,
     value_scale,
 )
-from .errors import NotAdditive, NotChoresOnly
 from .model import (
-    AdditiveValuation,
     Allocation,
     Instance,
     SolveResult,
+    aversion_view,
     require_allocation,
     value,
 )
@@ -55,22 +54,13 @@ def _score(factors) -> WelfareScore:
     return WelfareScore(len(nonzero), Fraction(prod(nonzero, start=1)))
 
 
-def _require_chores_only(inst: Instance) -> None:
-    if not isinstance(inst.valuation, AdditiveValuation):
-        raise NotAdditive("Nash-welfare baselines require an additive instance")
-    for i, row in enumerate(inst.valuation.matrix):
-        for j, entry in enumerate(row):
-            if entry > 0:
-                raise NotChoresOnly(i, j)
-
-
 def nash_prime_factors(inst: Instance, alloc: Allocation) -> tuple[Fraction, ...]:
     """Per-agent spared aversion u_i(M) - u_i(A_i), which for chores-only
     values equals v_i(A_i) - v_i(M)."""
-    _require_chores_only(inst)
+    avers = aversion_view(inst)
     require_allocation(inst, alloc)
     return tuple(
-        value(inst, i, mask) - value(inst, i, inst.full_mask)
+        value(avers, i, avers.full_mask) - value(avers, i, mask)
         for i, mask in enumerate(alloc.bundles())
     )
 
@@ -104,7 +94,7 @@ def mnw_prime_solve(inst: Instance, max_space: int | None = None) -> SolveResult
 
     Ties break toward the first optimum in canonical enumeration order.
     """
-    _require_chores_only(inst)
+    aversion_view(inst)  # rejects all but chores-only additive instances
     size = guard_search_space(inst.agents, inst.m, max_space)
     n = inst.agents
     rows = AllocationRows(inst)
@@ -188,7 +178,7 @@ def constrained_mnw_solve(inst: Instance, max_space: int | None = None) -> Solve
     the Pareto frontier, and finally maximizes the score there. Ties
     break toward the first optimum in canonical enumeration order.
     """
-    _require_chores_only(inst)
+    avers = aversion_view(inst)
     size = guard_search_space(inst.agents, inst.m, max_space)
     n = inst.agents
     rows = AllocationRows(inst)
@@ -201,7 +191,7 @@ def constrained_mnw_solve(inst: Instance, max_space: int | None = None) -> Solve
     best_index = int(firsts[optima].min())
     ties = int(counts[optima].sum())
     allocation = Allocation(n, assignment_at(n, inst.m, best_index))
-    factors = tuple(-value(inst, i, mask) for i, mask in enumerate(allocation.bundles()))
+    factors = tuple(value(avers, i, mask) for i, mask in enumerate(allocation.bundles()))
     return SolveResult(
         allocation=allocation,
         objective_vector=factors,

@@ -21,14 +21,13 @@ settings.register_profile("fairdiv", derandomize=True, deadline=None)
 settings.load_profile("fairdiv")
 
 
-def additive(rows, aversion: bool = False) -> Instance:
+def additive(rows) -> Instance:
     """Instance with additive rows; items named a, b, c, ... in order."""
     matrix = tuple(tuple(Fraction(v) for v in row) for row in rows)
     return Instance(
         agents=len(matrix),
         items=tuple(ITEM_NAMES[: len(matrix[0])]),
         valuation=AdditiveValuation(matrix),
-        aversion=aversion,
     )
 
 

@@ -1,12 +1,15 @@
 """Fairness checks, witnesses, the envy graph and cycle elimination."""
 
 import random
+from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import additive, general
+from test_enumeration import additive_instances
 from fairdiv import (
     Allocation,
     Ef1Witness,
@@ -30,6 +33,7 @@ from fairdiv import (
     fixture_instance,
     value,
 )
+from fairdiv.audit import NO_ADJUSTMENT
 
 TABLE1 = fixture_instance("table1")
 CIRCLED1 = Allocation(5, (0, 0, 0, 1, 2, 3, 4))
@@ -358,3 +362,96 @@ def test_eliminate_postconditions_on_random_instances():
             return ok
 
         assert all(acyclic(u) for u in range(inst.agents))
+
+
+# ------------------------------------------------------------ rendering
+
+def test_witness_rendering():
+    inst = additive([(-1, 2, 3)])
+    third = Fraction(1, 3)
+    assert EnvyWitness(0, 1, Fraction(-1), third).as_dict() == {
+        "i": 0, "j": 1, "own": "-1", "other": "1/3",
+    }
+    efx = EfxWitness(0, 1, 2, "good-removal", Fraction(-1), Fraction(1, 2))
+    assert efx.as_dict(inst) == {
+        "i": 0, "j": 1, "item": "c", "side": "good-removal", "own": "-1", "adjusted": "0.5",
+    }
+    assert efx.as_dict()["item"] == 2
+    vacuous = EfxWitness(0, 1, None, NO_ADJUSTMENT, Fraction(-1), third)
+    assert vacuous.as_dict(inst)["item"] is None
+    assert Ef1Witness(1, 0, Fraction(-1), third, None).as_dict(inst) == {
+        "i": 1, "j": 0, "own": "-1", "other": "1/3", "best_target": None,
+    }
+    assert Ef1Witness(1, 0, Fraction(-1), third, third).as_dict()["best_target"] == "1/3"
+    assert PropWitness(2, Fraction(-3), third).as_dict() == {
+        "agent": 2, "value": "-3", "threshold": "1/3",
+    }
+    assert Prop1Witness(2, Fraction(-3), Fraction(-2), third).as_dict() == {
+        "agent": 2, "value": "-3", "best_adjusted": "-2", "threshold": "1/3",
+    }
+
+
+# ------------------------------------------------------------ metamorphic
+
+@st.composite
+def audited(draw):
+    """An additive instance with n <= 4, m <= 6 and one of its allocations."""
+    inst = draw(additive_instances())
+    owners = st.integers(0, inst.agents - 1)
+    assignment = draw(st.lists(owners, min_size=inst.m, max_size=inst.m))
+    return inst, Allocation(inst.agents, tuple(assignment))
+
+
+def _outcome(inst, alloc):
+    """Each notion's verdict, with its witness cut down to the fields that
+    hold no value: agents, items, sides and improvements."""
+    outcome = []
+    for notion, res in audit(inst, alloc).results:
+        shape = None
+        if res.witness is not None:
+            shape = [
+                (field.name, getattr(res.witness, field.name))
+                for field in fields(res.witness)
+                if not isinstance(getattr(res.witness, field.name), Fraction)
+            ]
+        outcome.append((notion, res.verdict, shape))
+    return outcome
+
+
+@given(audited(), st.data())
+def test_scaling_one_agent_keeps_every_verdict_and_witness(case, data):
+    inst, alloc = case
+    agent = data.draw(st.integers(0, inst.agents - 1))
+    factor = data.draw(st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)))
+    rows = [list(row) for row in inst.valuation.matrix]
+    rows[agent] = [entry * factor for entry in rows[agent]]
+    assert _outcome(additive(rows), alloc) == _outcome(inst, alloc)
+
+
+@given(audited(), st.data())
+def test_relabelling_agents_keeps_every_verdict(case, data):
+    inst, alloc = case
+    order = data.draw(st.permutations(range(inst.agents)))  # new agent k was order[k]
+    rows = [inst.valuation.matrix[old] for old in order]
+    new_label = {old: new for new, old in enumerate(order)}
+    relabelled = Allocation(inst.agents, tuple(new_label[a] for a in alloc.assignment))
+
+    def verdicts(inst, alloc):
+        return [res.verdict for _, res in audit(inst, alloc).results]
+
+    assert verdicts(additive(rows), relabelled) == verdicts(inst, alloc)
+
+
+@given(audited())
+def test_envy_graph_is_the_envy_relation(case):
+    inst, alloc = case
+    edges = build_envy_graph(inst, alloc).edges
+    n = inst.agents
+    assert edges == tuple(
+        (i, j) for i in range(n) for j in range(n) if i != j and envies(inst, alloc, i, j)
+    )
+    res = check_EF(inst, alloc)
+    if edges:
+        assert (res.witness.i, res.witness.j) == edges[0]
+    else:
+        assert res.holds

@@ -293,6 +293,33 @@ def test_malformed_allocation_exits_two(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "bundles",
+    [5, None, ["ab", []], {"a": 0, "b": 0}],
+    ids=["number", "null", "string-bundle", "object"],
+)
+def test_malformed_bundles_exit_two(tmp_path, bundles):
+    instance_path = tmp_path / "instance.json"
+    instance_path.write_text(
+        json.dumps(
+            {
+                "agents": 2,
+                "items": ["a", "b"],
+                "valuation": {"type": "additive", "matrix": [["-1", "-2"], ["-2", "-1"]]},
+            }
+        )
+    )
+    allocation_path = tmp_path / "alloc.json"
+    allocation_path.write_text(json.dumps({"bundles": bundles}))
+    res = runner.invoke(
+        main,
+        ["audit", "--instance", str(instance_path), "--allocation", str(allocation_path)],
+    )
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "error:" in res.stderr
+
+
+@pytest.mark.parametrize(
     "document",
     [
         {"agents": 1, "items": ["a"], "valuation": {"type": "additive"}},

@@ -273,7 +273,6 @@ def test_rescale_preserves_bundle_order(row, total):
 def test_aversion_view_negates():
     inst = fixture_instance("mnw")
     view = aversion_view(inst)
-    assert view.aversion
     assert value(view, 0, inst.bundle_of("ab")) == 12
     back = tuple(
         tuple(-entry for entry in row) for row in view.valuation.matrix

@@ -106,6 +106,11 @@ def test_allocation_round_trip():
         [["a"], ["a"]],  # item twice
         [["a"], []],  # item missing
         [["a"], ["z"]],  # unknown item
+        [["a", "a", "b"], []],  # item twice in one bundle
+        5,  # not a list
+        None,
+        ["ab", []],  # a string, not a list of names
+        {"a": 0, "b": 0},
     ],
 )
 def test_malformed_allocation_documents(bundles):
