@@ -16,7 +16,7 @@ from .audit import NOTIONS, Verdict, audit
 from .errors import FairdivError
 from .fixtures import FIXTURE_NAMES, run_fixture
 from .generators import FAMILIES, GeneratorConfig, generate
-from .greedy import alg_identical_trace
+from .greedy import alg_identical_trace, greedy_result
 from .leximin import SPEC_NAMES
 from .methods import METHODS, solve_with_method
 from .model import format_value, parse_value
@@ -97,7 +97,8 @@ def solve(instance_path, method, objective, trace, max_space):
         if trace:
             if effective != "alg-identical":
                 raise FairdivError("--trace applies only to --method alg-identical")
-            for step in alg_identical_trace(inst):
+            steps = alg_identical_trace(inst)
+            for step in steps:
                 click.echo(
                     json.dumps(
                         {
@@ -107,7 +108,9 @@ def solve(instance_path, method, objective, trace, max_space):
                         }
                     )
                 )
-        result = solve_with_method(inst, effective, max_space)
+            result = greedy_result(inst, steps)
+        else:
+            result = solve_with_method(inst, effective, max_space)
         click.echo(
             dumps(
                 {

@@ -19,9 +19,9 @@ are OR-ed and looked up in the scaled 2^m value table.
 
 Exactness: every entry is an integer under one common positive scale (the
 least common multiple of all denominators), never a float. The blocks are
-int64 only when a bound checked up front proves that no entry, and no sum
-of a row's n entries, can overflow; otherwise the same code runs on
-``dtype=object`` arrays of Python integers.
+int64 only when a bound that :func:`contribution_matrix` checks up front
+proves that no entry, and no sum of a row's n entries, can overflow;
+otherwise the same code runs on ``dtype=object`` arrays of Python integers.
 """
 
 from __future__ import annotations
@@ -117,6 +117,42 @@ def scaled_value_tables(inst: Instance) -> tuple[tuple[tuple[int, ...], ...], in
     return tables, scale
 
 
+def contribution_matrix(
+    inst: Instance, weight: int = 1, extra=None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """What each item adds to each agent's row entry, as an n x m integer
+    matrix, and the bundle lookup of a general table (None if additive).
+
+    Additive entries are ``weight`` times the scaled value plus
+    ``extra[i][j]``; a general table gets ``extra`` alone and a lookup of
+    ``weight`` times :func:`model.scaled_table`. ``extra`` (optional, n x m
+    integers) carries the leximin solvers' goods and chores counts. Both
+    arrays are int64 only when n times the largest possible row entry is
+    below :data:`INT64_LIMIT`, and hold Python integers otherwise.
+    """
+    n, m = inst.agents, inst.m
+    if extra is None:
+        extra = [[0] * m for _ in range(n)]
+    if isinstance(inst.valuation, AdditiveValuation):
+        scale = value_scale(inst)
+        contributions = [
+            [int(value * scale) * weight + add for value, add in zip(row, adds)]
+            for row, adds in zip(inst.valuation.matrix, extra)
+        ]
+        lookup = None
+        bound = 0
+    else:
+        contributions = extra
+        lookup, _scale = scaled_table(inst.valuation)
+        bound = int(np.abs(lookup).max()) * weight
+    bound += max(sum(abs(entry) for entry in row) for row in contributions)
+    dtype = np.int64 if n * bound < INT64_LIMIT else object
+    contributions = np.array(contributions, dtype=dtype).reshape(n, m)
+    if lookup is not None:
+        lookup = lookup.astype(dtype, copy=False) * weight
+    return contributions, lookup
+
+
 def _block(contributions: np.ndarray) -> np.ndarray:
     """Per-agent sums over every assignment of a run of items.
 
@@ -139,38 +175,17 @@ class AllocationRows:
 
     Entry i of an allocation's row is ``weight * v_i(A_i)`` plus the sum
     of ``extra[i][j]`` over the items j in A_i, with v_i the scaled bundle
-    value of :func:`scaled_value_tables`. ``extra`` is an optional n x m
-    list of integers; the leximin solvers use it for goods and chores
-    counts.
+    value of :func:`scaled_value_tables`; see :func:`contribution_matrix`.
     """
 
     def __init__(self, inst: Instance, weight: int = 1, extra=None):
         n, m = inst.agents, inst.m
         self.n = n
-        if extra is None:
-            extra = [[0] * m for _ in range(n)]
-        if isinstance(inst.valuation, AdditiveValuation):
-            scale = value_scale(inst)
-            contributions = [
-                [int(value * scale) * weight + add for value, add in zip(row, adds)]
-                for row, adds in zip(inst.valuation.matrix, extra)
-            ]
-            lookup = None
-            bound = 0
-        else:
-            contributions = extra
-            lookup, _scale = scaled_table(inst.valuation)
-            bound = int(np.abs(lookup).max()) * weight
-        bound += max(sum(abs(entry) for entry in row) for row in contributions)
-        dtype = np.int64 if n * bound < INT64_LIMIT else object
-        self.dtype = dtype
-        contributions = np.array(contributions, dtype=dtype).reshape(n, m)
+        self.contributions, self.lookup = contribution_matrix(inst, weight, extra)
         k = m // 2
-        self.prefix = _block(contributions[:, :k])
-        self.suffix = _block(contributions[:, k:])
-        self.lookup = None
-        if lookup is not None:
-            self.lookup = lookup.astype(dtype, copy=False) * weight
+        self.prefix = _block(self.contributions[:, :k])
+        self.suffix = _block(self.contributions[:, k:])
+        if self.lookup is not None:
             bits = np.array([[1 << j for j in range(m)]] * n, dtype=np.int64)
             self.prefix_masks = _block(bits[:, :k])
             self.suffix_masks = _block(bits[:, k:])
@@ -226,36 +241,3 @@ def lex_argmax(rows: AllocationRows, columns_of) -> tuple[int, tuple[int, ...], 
         elif top == best:
             ties += len(hits)
     return first, best, ties
-
-
-def _groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A stable lexicographic sort order of the rows, and the positions
-    in that order where each run of equal rows starts."""
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    starts = np.ones(len(rows), dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return order, np.flatnonzero(starts)
-
-
-def distinct_rows(rows: AllocationRows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct rows over all allocations, in order of first
-    occurrence, with how many allocations share each one and the
-    canonical index of the first."""
-    vectors, counts, firsts = [], [], []
-    for start, chunk in rows.chunks():
-        order, starts = _groups(chunk)
-        vectors.append(chunk[order[starts]])
-        counts.append(np.diff(starts, append=len(chunk)))
-        firsts.append(start + order[starts])
-    vectors = np.concatenate(vectors)
-    counts = np.concatenate(counts)
-    firsts = np.concatenate(firsts)
-    # chunks are in canonical order and the sort is stable, so each run
-    # starts at its vector's earliest occurrence
-    order, starts = _groups(vectors)
-    counts = np.add.reduceat(counts[order], starts)
-    firsts = firsts[order[starts]]
-    vectors = vectors[order[starts]]
-    by_first = np.argsort(firsts)
-    return vectors[by_first], counts[by_first], firsts[by_first]

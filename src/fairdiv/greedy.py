@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotAdditive, NotIdentical
-from .model import AdditiveValuation, Allocation, Instance
+from .model import AdditiveValuation, Allocation, Instance, SolveResult
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,17 @@ def alg_identical_trace(inst: Instance) -> tuple[TraceStep, ...]:
     return tuple(trace)
 
 
+def greedy_result(inst: Instance, trace) -> SolveResult:
+    """The greedy method's result, read from its trace: the final
+    per-agent utilities (all zero without items), a tie count of 1 and,
+    as nothing is enumerated, a search space of 0."""
+    assignment = [0] * inst.m
+    for step in trace:
+        assignment[step.item] = step.agent
+    utilities = trace[-1].utilities if trace else (Fraction(0),) * inst.agents
+    return SolveResult(Allocation(inst.agents, tuple(assignment)), utilities, None, 1, 0)
+
+
 def alg_identical(inst: Instance) -> Allocation:
     """The greedy allocation for an identical additive instance."""
-    assignment = [0] * inst.m
-    for step in alg_identical_trace(inst):
-        assignment[step.item] = step.agent
-    return Allocation(inst.agents, tuple(assignment))
+    return greedy_result(inst, alg_identical_trace(inst)).allocation

@@ -3,9 +3,9 @@ the command line."""
 
 from __future__ import annotations
 
-from .greedy import alg_identical
+from .greedy import alg_identical_trace, greedy_result
 from .leximin import SPEC_NAMES, leximin_solve
-from .model import Instance, SolveResult, value
+from .model import Instance, SolveResult
 from .welfare import constrained_mnw_solve, mnw_prime_solve
 
 METHODS = (
@@ -21,12 +21,8 @@ METHODS = (
 def solve_with_method(
     inst: Instance, method: str, max_space: int | None = None
 ) -> SolveResult:
-    """Run the named solver.
-
-    The greedy method is not enumerative; its result reports the final
-    per-agent utilities as the objective vector, a tie count of 1 and a
-    search space of 0.
-    """
+    """Run the named solver; the greedy method's result is
+    :func:`greedy.greedy_result`."""
     if method in SPEC_NAMES:
         return leximin_solve(inst, SPEC_NAMES[method], max_space)
     if method == "mnw-prime":
@@ -34,14 +30,5 @@ def solve_with_method(
     if method == "mnw-constrained":
         return constrained_mnw_solve(inst, max_space)
     if method == "alg-identical":
-        allocation = alg_identical(inst)
-        return SolveResult(
-            allocation=allocation,
-            objective_vector=tuple(
-                value(inst, i, mask) for i, mask in enumerate(allocation.bundles())
-            ),
-            score=None,
-            tie_count=1,
-            search_space=0,
-        )
+        return greedy_result(inst, alg_identical_trace(inst))
     raise ValueError(f"unknown method {method!r}")

@@ -6,7 +6,9 @@ through each agent's aversion u_i = -v_i:
 * modified Nash welfare multiplies the factors u_i(M) - u_i(A_i), the
   aversion each agent is spared;
 * constrained Nash welfare restricts attention to Pareto-optimal
-  allocations and multiplies the factors u_i(A_i) there.
+  allocations and multiplies the factors u_i(A_i) there. It builds the
+  Pareto frontier one item at a time instead of visiting all n^m
+  allocations.
 
 Scores handle zero factors lexicographically: more nonzero factors beat
 any product, and the product of an empty factor set is 1.
@@ -23,11 +25,10 @@ import numpy as np
 from .enumeration import (
     AllocationRows,
     assignment_at,
-    distinct_rows,
+    contribution_matrix,
     guard_search_space,
     lex_argmax,
     lex_max,
-    value_scale,
 )
 from .model import (
     Allocation,
@@ -82,11 +83,12 @@ def _nash_columns(factors: np.ndarray, bound: int) -> list[np.ndarray]:
     return [nonzero.sum(axis=1), np.where(nonzero, factors, 1).prod(axis=1)]
 
 
-def _scaled_totals(inst: Instance) -> list[int]:
-    """Each agent's value of the whole item set, under the scale of
-    :class:`AllocationRows`."""
-    scale = value_scale(inst)
-    return [int(sum(row, Fraction(0)) * scale) for row in inst.valuation.matrix]
+def _nash_result(inst: Instance, first: int, ties: int, factors_of) -> SolveResult:
+    """The result for the allocation at canonical index ``first``, with
+    the Nash factors ``factors_of(allocation)``."""
+    allocation = Allocation(inst.agents, assignment_at(inst.agents, inst.m, first))
+    factors = factors_of(allocation)
+    return SolveResult(allocation, factors, _score(factors), ties, inst.agents**inst.m)
 
 
 def mnw_prime_solve(inst: Instance, max_space: int | None = None) -> SolveResult:
@@ -95,30 +97,21 @@ def mnw_prime_solve(inst: Instance, max_space: int | None = None) -> SolveResult
     Ties break toward the first optimum in canonical enumeration order.
     """
     aversion_view(inst)  # rejects all but chores-only additive instances
-    size = guard_search_space(inst.agents, inst.m, max_space)
-    n = inst.agents
+    guard_search_space(inst.agents, inst.m, max_space)
     rows = AllocationRows(inst)
-    totals = _scaled_totals(inst)
+    totals = rows.contributions.sum(axis=1)
     # chores only: 0 <= v_i(A_i) - v_i(M) <= -v_i(M)
-    bound = max(-total for total in totals)
-    totals = np.array(totals, dtype=rows.dtype)
+    bound = int(-totals.min())
     first, _key, ties = lex_argmax(
         rows, lambda chunk: _nash_columns(chunk - totals, bound)
     )
-    allocation = Allocation(n, assignment_at(n, inst.m, first))
-    factors = nash_prime_factors(inst, allocation)
-    return SolveResult(
-        allocation=allocation,
-        objective_vector=factors,
-        score=_score(factors),
-        tie_count=ties,
-        search_space=size,
-    )
+    return _nash_result(inst, first, ties, lambda alloc: nash_prime_factors(inst, alloc))
 
 
 def _pareto_front_mask(vectors: np.ndarray) -> np.ndarray:
     """Boolean mask of the non-dominated rows among distinct utility
-    vectors.
+    vectors: in :func:`_pareto_frontier`, the candidate partial vectors
+    after each item.
 
     Rows are processed in batches of descending total. A dominator always
     has a strictly larger total, so every possible dominator of a row sits
@@ -168,34 +161,57 @@ def _pareto_front_mask(vectors: np.ndarray) -> np.ndarray:
     return keep
 
 
+def _pareto_frontier(contributions: np.ndarray):
+    """The Pareto-optimal utility vectors of an additive instance, given
+    its :func:`contribution_matrix`, with how many allocations reach each
+    and the canonical index of the first.
+
+    From the zero vector, each item in canonical order extends every kept
+    vector once per agent (index h to h * n + a); equal vectors merge,
+    adding their counts and keeping the smallest index, and dominated ones
+    are dropped. No Pareto-optimal allocation is pruned (Nemhauser &
+    Ullmann, 1969): the dominator of a prefix plus the same suffix would
+    dominate the whole allocation. Counts and indices are int64 only while
+    n^m < 2^63, Python integers otherwise.
+    """
+    n, m = contributions.shape
+    index = np.int64 if n**m < 2**63 else object
+    agents = np.arange(n).astype(index)
+    vectors = np.zeros((1, n), dtype=contributions.dtype)
+    counts, firsts = np.ones(1, dtype=index), np.zeros(1, dtype=index)
+    for j in range(m):
+        vectors = (vectors[:, None, :] + np.diag(contributions[:, j])).reshape(-1, n)
+        order = np.lexsort(vectors.T[::-1])
+        vectors = vectors[order]
+        starts = np.flatnonzero(np.r_[True, (vectors[1:] != vectors[:-1]).any(axis=1)])
+        vectors = vectors[starts]
+        counts = np.add.reduceat(np.repeat(counts, n)[order], starts)
+        firsts = np.minimum.reduceat((firsts[:, None] * n + agents).ravel()[order], starts)
+        keep = _pareto_front_mask(vectors)
+        vectors, counts, firsts = vectors[keep], counts[keep], firsts[keep]
+    return vectors, counts, firsts
+
+
 def constrained_mnw_solve(inst: Instance, max_space: int | None = None) -> SolveResult:
-    """Among Pareto-optimal allocations, exhaustively maximize the Nash
-    product of aversions u_i(A_i).
+    """Among Pareto-optimal allocations, maximize the Nash product of
+    aversions u_i(A_i).
 
     An allocation is Pareto-optimal exactly when its utility vector is
-    not dominated by any achievable utility vector, so the search first
-    collapses the space to distinct utility vectors, then filters them to
-    the Pareto frontier, and finally maximizes the score there. Ties
-    break toward the first optimum in canonical enumeration order.
+    not dominated by any achievable utility vector, so the score is
+    maximized over the exact frontier of :func:`_pareto_frontier`, which
+    also gives the tie count. Ties break toward the first optimum in
+    canonical enumeration order.
     """
     avers = aversion_view(inst)
-    size = guard_search_space(inst.agents, inst.m, max_space)
-    n = inst.agents
-    rows = AllocationRows(inst)
-    vectors, counts, firsts = distinct_rows(rows)
-    efficient = np.flatnonzero(_pareto_front_mask(vectors))
+    guard_search_space(inst.agents, inst.m, max_space)
+    contributions, _lookup = contribution_matrix(inst)
+    vectors, counts, firsts = _pareto_frontier(contributions)
     # chores only: 0 <= -v_i(A_i) <= -v_i(M)
-    bound = max(-total for total in _scaled_totals(inst))
-    hits, _key = lex_max(_nash_columns(-vectors[efficient], bound))
-    optima = efficient[hits]
-    best_index = int(firsts[optima].min())
-    ties = int(counts[optima].sum())
-    allocation = Allocation(n, assignment_at(n, inst.m, best_index))
-    factors = tuple(value(avers, i, mask) for i, mask in enumerate(allocation.bundles()))
-    return SolveResult(
-        allocation=allocation,
-        objective_vector=factors,
-        score=_score(factors),
-        tie_count=ties,
-        search_space=size,
+    bound = int(-contributions.sum(axis=1).min())
+    hits, _key = lex_max(_nash_columns(-vectors, bound))
+    return _nash_result(
+        inst,
+        int(firsts[hits].min()),
+        int(counts[hits].sum()),
+        lambda alloc: tuple(value(avers, i, mask) for i, mask in enumerate(alloc.bundles())),
     )

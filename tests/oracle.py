@@ -180,9 +180,9 @@ def _dominates(a, b) -> bool:
     return all(x >= y for x, y in zip(a, b)) and a != b
 
 
-def constrained_mnw(inst):
-    """(assignment, tie count) of the first Nash-product optimum among
-    Pareto-optimal allocations."""
+def pareto_set(inst):
+    """Each Pareto-optimal utility vector -> (first assignment reaching it,
+    number of assignments reaching it)."""
     first: dict[tuple, tuple] = {}
     count: dict[tuple, int] = {}
     for assignment, vector in _utilities(inst):
@@ -194,9 +194,16 @@ def constrained_mnw(inst):
     for vector in sorted(first, key=sum, reverse=True):
         if not any(_dominates(other, vector) for other in frontier):
             frontier.append(vector)
-    best = max(_nash_score([-x for x in vector]) for vector in frontier)
-    optima = [v for v in frontier if _nash_score([-x for x in v]) == best]
-    return min(first[v] for v in optima), sum(count[v] for v in optima)
+    return {vector: (first[vector], count[vector]) for vector in frontier}
+
+
+def constrained_mnw(inst):
+    """(assignment, tie count) of the first Nash-product optimum among
+    Pareto-optimal allocations."""
+    front = pareto_set(inst)
+    best = max(_nash_score([-x for x in vector]) for vector in front)
+    optima = [v for v in front if _nash_score([-x for x in v]) == best]
+    return min(front[v][0] for v in optima), sum(front[v][1] for v in optima)
 
 
 def po_witness(inst, alloc):

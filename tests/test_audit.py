@@ -327,6 +327,14 @@ def test_eliminate_two_cycle():
     assert build_envy_graph(inst, after).edges == ()
 
 
+def test_eliminate_rotates_toward_the_envied_bundle():
+    # each agent on a cycle takes the bundle it envies; taking the bundle
+    # of whoever envies it instead ends at (2, 0, 1)
+    inst = additive([(2, 2, 3), (2, 1, 4), (0, 3, 0)])
+    after = eliminate_envy_cycles(inst, Allocation(3, (0, 1, 2)))
+    assert after.assignment == (1, 2, 0)
+
+
 def test_eliminate_leaves_acyclic_input_alone():
     assert eliminate_envy_cycles(TABLE1, CIRCLED1).assignment == CIRCLED1.assignment
 

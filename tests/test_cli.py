@@ -11,6 +11,7 @@ from fairdiv import (
     fixture_instance,
     instance_to_dict,
 )
+from fairdiv import greedy
 from fairdiv.cli import main
 from fairdiv.serialize import dumps
 
@@ -113,14 +114,21 @@ def test_solve_objective_switches_the_leximin_family(tmp_path):
     assert doc["objective_vector"][0] == ["-18", 0, -3]
 
 
-def test_solve_trace_emits_json_lines(tmp_path):
+def test_solve_trace_emits_json_lines(tmp_path, monkeypatch):
     instance_path = str(tmp_path / "inst.json")
     runner.invoke(main, GEN_ARGS + ["--out", instance_path])
+    # every greedy run starts by reading the identical row, exactly once
+    runs = []
+    identical_row = greedy._identical_row
+    monkeypatch.setattr(
+        greedy, "_identical_row", lambda inst: runs.append(inst) or identical_row(inst)
+    )
     res = runner.invoke(
         main,
         ["solve", "--instance", instance_path, "--method", "alg-identical", "--trace"],
     )
     assert res.exit_code == 0
+    assert len(runs) == 1
     lines = res.output.splitlines()
     steps = [json.loads(line) for line in lines[:5]]
     assert {step["item"] for step in steps} == {"o1", "o2", "o3", "o4", "o5"}

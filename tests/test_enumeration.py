@@ -9,7 +9,7 @@ from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from conftest import additive, general
@@ -28,7 +28,8 @@ from fairdiv import (
     value,
 )
 from fairdiv import enumeration
-from fairdiv.enumeration import AllocationRows
+from fairdiv.enumeration import AllocationRows, assignment_at, contribution_matrix
+from fairdiv.welfare import _pareto_frontier
 
 SPECS = tuple(SPEC_NAMES.values())
 
@@ -115,6 +116,26 @@ def assert_constrained_matches(inst):
     )
 
 
+def assert_frontier_matches(inst):
+    """Every Pareto-optimal vector, its count and its first index."""
+    contributions, _lookup = contribution_matrix(inst)
+    vectors, counts, firsts = _pareto_frontier(contributions)
+    assert vectors.dtype == contributions.dtype
+    n, m = inst.agents, inst.m
+    scale = enumeration.value_scale(inst)
+    front = {
+        tuple(Fraction(entry, scale) for entry in vector): (
+            assignment_at(n, m, first),
+            count,
+        )
+        for vector, count, first in zip(
+            vectors.tolist(), counts.tolist(), firsts.tolist()
+        )
+    }
+    assert len(front) == len(vectors)
+    assert front == oracle.pareto_set(inst)
+
+
 def assert_po_matches(inst, alloc):
     witness = oracle.po_witness(inst, alloc)
     res = check_PO(inst, alloc)
@@ -154,6 +175,15 @@ def test_mnw_prime_solve_matches_oracle(inst, rows):
 def test_constrained_mnw_solve_matches_oracle(inst, rows):
     with budget(rows):
         assert_constrained_matches(inst)
+
+
+@settings(max_examples=60)
+@given(additive_instances())
+@example(additive([(-1, 0, Fraction(2, 3))]))
+@example(additive([()] * 3))
+def test_pareto_frontier_matches_oracle(inst):
+    # both signs and zero values; n = 1 and m = 0 as explicit examples
+    assert_frontier_matches(inst)
 
 
 @settings(max_examples=60)
@@ -211,7 +241,7 @@ def test_huge_denominators_take_the_exact_path():
     h0, h1 = HUGE
     table = general(2, [0, Fraction(3, h1), Fraction(4, h0), Fraction(10, h0)])
     for inst in (mixed, chores, table):
-        assert AllocationRows(inst).dtype is object
+        assert contribution_matrix(inst)[0].dtype == object
         for spec in SPECS:
             assert_leximin_matches(inst, spec)
         for assignment in ((0, 1, 2, 0), (1, 1, 0, 2), (0, 0)):
@@ -223,12 +253,14 @@ def test_huge_denominators_take_the_exact_path():
                 )
     assert_mnw_prime_matches(chores)
     assert_constrained_matches(chores)
+    assert_frontier_matches(mixed)
+    assert_frontier_matches(chores)
 
 
 def test_nash_products_beyond_int64_stay_exact():
     # entries fit int64, but four factors near 2^20 multiply past 2^63
     inst = additive([[-(2**19) - 3 * i - j for j in range(5)] for i in range(4)])
-    assert AllocationRows(inst).dtype is np.int64
+    assert contribution_matrix(inst)[0].dtype == np.int64
     assert_mnw_prime_matches(inst)
     assert_constrained_matches(inst)
 

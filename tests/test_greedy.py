@@ -15,6 +15,7 @@ from fairdiv import (
     alg_identical_trace,
     check_EFX,
 )
+from fairdiv.greedy import greedy_result
 
 
 def F(x):
@@ -31,6 +32,10 @@ def test_trace_alternates_goods_to_poorest_chores_to_richest():
         TraceStep(3, 1, (F(1), F(1))),
     )
     assert alg_identical(inst).assignment == (0, 0, 1, 1)
+    result = greedy_result(inst, trace)
+    assert result.allocation.assignment == (0, 0, 1, 1)
+    assert result.objective_vector == (F(1), F(1))
+    assert (result.score, result.tie_count, result.search_space) == (None, 1, 0)
 
 
 def test_absolute_value_order_breaks_ties_by_item_index():
@@ -56,6 +61,7 @@ def test_empty_instance_gives_empty_trace():
     inst = additive([[], []])
     assert alg_identical_trace(inst) == ()
     assert alg_identical(inst) == Allocation(2, ())
+    assert greedy_result(inst, ()).objective_vector == (F(0), F(0))
 
 
 def test_rejects_non_identical_and_non_additive():

@@ -1,13 +1,16 @@
 """Modified Nash welfare and the Pareto-constrained disutility product."""
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
 
 from conftest import additive, general
 from fairdiv import (
+    AdditiveValuation,
     Allocation,
+    Instance,
     NotAdditive,
     NotChoresOnly,
     SearchSpaceTooLarge,
@@ -19,6 +22,7 @@ from fairdiv import (
     modified_nash_welfare,
     nash_prime_factors,
 )
+from fairdiv.enumeration import assignment_index
 from fairdiv.welfare import _pareto_front_mask
 
 MNW = fixture_instance("mnw")
@@ -107,6 +111,20 @@ def test_constrained_solve_counts_ties_among_optima():
     assert res.tie_count == 2
     assert res.score == WelfareScore(2, Fraction(1))
     assert res.objective_vector == (Fraction(1), Fraction(1))
+
+
+def test_constrained_solve_counts_past_int64():
+    # 2^67 allocations: counts and indices need Python integers
+    inst = Instance(
+        agents=2,
+        items=tuple(f"c{j}" for j in range(67)),
+        valuation=AdditiveValuation(((Fraction(-1),) * 67,) * 2),
+    )
+    res = constrained_mnw_solve(inst, max_space=2**67)
+    assert res.tie_count == 2 * comb(67, 33) == 28_453_041_475_240_576_740
+    assert res.allocation.assignment == (0,) * 34 + (1,) * 33
+    assert assignment_index(2, res.allocation.assignment) == 2**33 - 1
+    assert res.search_space == 2**67
 
 
 def test_constrained_solve_guard():
