@@ -269,13 +269,18 @@ def check_EF1(inst: Instance, alloc: Allocation) -> CheckResult:
     return CheckResult(Verdict.HOLDS)
 
 
+def _proportional_share(inst: Instance, agent: int) -> Fraction:
+    """v_i(M) / n: the value each agent must reach under PROP."""
+    return value(inst, agent, inst.full_mask) / inst.agents
+
+
 def check_PROP(inst: Instance, alloc: Allocation) -> CheckResult:
     """Proportionality: every agent values her bundle at least at
     v_i(M) / n."""
     require_allocation(inst, alloc)
     bundles = alloc.bundles()
     for i in range(inst.agents):
-        threshold = value(inst, i, inst.full_mask) / inst.agents
+        threshold = _proportional_share(inst, i)
         own = value(inst, i, bundles[i])
         if own < threshold:
             return CheckResult(Verdict.FAILS, PropWitness(i, own, threshold))
@@ -290,7 +295,7 @@ def check_PROP1(inst: Instance, alloc: Allocation) -> CheckResult:
     require_allocation(inst, alloc)
     bundles = alloc.bundles()
     for i in range(inst.agents):
-        threshold = value(inst, i, inst.full_mask) / inst.agents
+        threshold = _proportional_share(inst, i)
         mask = bundles[i]
         own = value(inst, i, mask)
         best = own

@@ -22,7 +22,7 @@ from .methods import METHODS, solve_with_method
 from .model import format_value, parse_value
 from .search import search_counterexamples
 from .serialize import (
-    allocation_from_dict,
+    allocation_from_json,
     allocation_to_dict,
     dumps,
     instance_from_json,
@@ -31,23 +31,28 @@ from .serialize import (
 )
 
 
-def _load_instance(path: str):
+def _load(path: str, parse):
+    """``parse`` applied to a file's text, with unreadable files and
+    invalid JSON reported as errors."""
     try:
-        return instance_from_json(Path(path).read_text())
+        return parse(Path(path).read_text())
     except OSError as exc:
         raise FairdivError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FairdivError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_allocation(inst, path: str):
-    try:
-        document = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise FairdivError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FairdivError(f"{path} is not valid JSON: {exc}") from exc
-    return allocation_from_dict(inst, document)
+def _notions_option(fn):
+    """The --notions option, split into a tuple of notion names."""
+    return click.option(
+        "--notions",
+        default=",".join(NOTIONS),
+        show_default=True,
+        help="Comma-separated fairness notions.",
+        callback=lambda _ctx, _param, text: tuple(
+            name.strip() for name in text.split(",") if name.strip()
+        ),
+    )(fn)
 
 
 def _score_dict(score):
@@ -93,7 +98,7 @@ def solve(instance_path, method, objective, trace, max_space):
             if method != "leximin":
                 raise FairdivError("--objective applies only to --method leximin")
             effective = objective
-        inst = _load_instance(instance_path)
+        inst = _load(instance_path, instance_from_json)
         if trace:
             if effective != "alg-identical":
                 raise FairdivError("--trace applies only to --method alg-identical")
@@ -131,21 +136,15 @@ def solve(instance_path, method, objective, trace, max_space):
 @main.command("audit")
 @click.option("--instance", "instance_path", required=True, help="Instance JSON file.")
 @click.option("--allocation", "allocation_path", required=True, help="Allocation JSON file.")
-@click.option(
-    "--notions",
-    default=",".join(NOTIONS),
-    show_default=True,
-    help="Comma-separated fairness notions.",
-)
+@_notions_option
 @click.option("--max-space", type=int, default=None, help="Search-space cap.")
 def audit_command(instance_path, allocation_path, notions, max_space):
     """Check fairness notions for a given allocation."""
 
     def run():
-        inst = _load_instance(instance_path)
-        alloc = _load_allocation(inst, allocation_path)
-        wanted = tuple(n.strip() for n in notions.split(",") if n.strip())
-        report = audit(inst, alloc, wanted, max_space)
+        inst = _load(instance_path, instance_from_json)
+        alloc = _load(allocation_path, lambda text: allocation_from_json(inst, text))
+        report = audit(inst, alloc, notions, max_space)
         click.echo(dumps(report.as_list(inst)), nl=False)
         verdicts = [res.verdict for _, res in report.results]
         if Verdict.FAILS in verdicts:
@@ -157,6 +156,8 @@ def audit_command(instance_path, allocation_path, notions, max_space):
 
 
 def _generator_options(fn):
+    """The fields of :class:`GeneratorConfig` as options of the same names;
+    :func:`_config` parses the value bounds, which arrive as text."""
     options = [
         click.option("--family", required=True, type=click.Choice(FAMILIES)),
         click.option("--agents", required=True, type=int),
@@ -167,40 +168,32 @@ def _generator_options(fn):
         click.option("--denominator", default=10, show_default=True, type=int),
         click.option("--weight-max", default=8, show_default=True, type=int),
         click.option("--perturb-max", default=4, show_default=True, type=int),
-        click.option("--rescale", default=None, help="Common grand-bundle value."),
+        click.option(
+            "--rescale", "rescale_total", default=None, help="Common grand-bundle value."
+        ),
     ]
     for option in reversed(options):
         fn = option(fn)
     return fn
 
 
-def _config(family, agents, items, seed, low, high, denominator, weight_max, perturb_max, rescale):
-    return GeneratorConfig(
-        agents=agents,
-        items=items,
-        family=family,
-        seed=seed,
-        low=parse_value(low),
-        high=parse_value(high),
-        denominator=denominator,
-        weight_max=weight_max,
-        perturb_max=perturb_max,
-        rescale_total=None if rescale is None else parse_value(rescale),
-    )
+def _config(options: dict) -> GeneratorConfig:
+    values = {
+        name: parse_value(options[name])
+        for name in ("low", "high", "rescale_total")
+        if options[name] is not None
+    }
+    return GeneratorConfig(**{**options, **values})
 
 
 @main.command()
 @_generator_options
 @click.option("--out", default=None, help="Write the instance here instead of stdout.")
-def gen(family, agents, items, seed, low, high, denominator, weight_max, perturb_max, rescale, out):
+def gen(out, **options):
     """Generate a random instance."""
 
     def run():
-        config = _config(
-            family, agents, items, seed, low, high, denominator,
-            weight_max, perturb_max, rescale,
-        )
-        text = dumps(instance_to_dict(generate(config)))
+        text = dumps(instance_to_dict(generate(_config(options))))
         if out is None:
             click.echo(text, nl=False)
         else:
@@ -212,24 +205,15 @@ def gen(family, agents, items, seed, low, high, denominator, weight_max, perturb
 @main.command()
 @_generator_options
 @click.option("--method", required=True, type=click.Choice(METHODS))
-@click.option(
-    "--notions",
-    default=",".join(NOTIONS),
-    show_default=True,
-    help="Comma-separated fairness notions.",
-)
+@_notions_option
 @click.option("--trials", required=True, type=int)
 @click.option("--max-space", type=int, default=None, help="Search-space cap.")
-def search(family, agents, items, seed, low, high, denominator, weight_max, perturb_max, rescale, method, notions, trials, max_space):
+def search(method, notions, trials, max_space, **options):
     """Hunt for fairness violations of a solver on random instances."""
 
     def run():
-        config = _config(
-            family, agents, items, seed, low, high, denominator,
-            weight_max, perturb_max, rescale,
-        )
-        wanted = tuple(n.strip() for n in notions.split(",") if n.strip())
-        report = search_counterexamples(config, method, wanted, trials, max_space=max_space)
+        config = _config(options)
+        report = search_counterexamples(config, method, notions, trials, max_space=max_space)
         click.echo(dumps(report.as_dict()), nl=False)
         if report.found:
             sys.exit(1)

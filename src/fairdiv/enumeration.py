@@ -153,6 +153,13 @@ def contribution_matrix(
     return contributions, lookup
 
 
+def _extend(block: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """Every row of ``block`` extended by one more item, given to each
+    agent in turn: row h becomes rows h * n + a, with ``column[a]`` added
+    to agent a's entry."""
+    return (block[:, None, :] + np.diag(column)).reshape(-1, len(column))
+
+
 def _block(contributions: np.ndarray) -> np.ndarray:
     """Per-agent sums over every assignment of a run of items.
 
@@ -162,10 +169,8 @@ def _block(contributions: np.ndarray) -> np.ndarray:
     """
     n, count = contributions.shape
     block = np.zeros((1, n), dtype=contributions.dtype)
-    step = np.zeros((n, n), dtype=contributions.dtype)
     for j in range(count):
-        np.fill_diagonal(step, contributions[:, j])
-        block = (block[:, None, :] + step[None, :, :]).reshape(-1, n)
+        block = _extend(block, contributions[:, j])
     return block
 
 

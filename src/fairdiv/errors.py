@@ -68,7 +68,8 @@ class ZeroTotal(InvalidInstance):
 
 
 class SignMismatch(InvalidInstance):
-    """Rescaling target and an agent's grand-bundle value differ in sign."""
+    """A rescaling target is zero or differs in sign from an agent's
+    grand-bundle value."""
 
     def __init__(self, agent: int, total, target):
         self.agent = agent

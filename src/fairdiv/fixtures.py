@@ -29,9 +29,12 @@ from .welfare import WelfareScore
 _FAILURE_CHECKS = {"ef1": check_EF1, "prop1": check_PROP1}
 
 
-def _chores(rows) -> AdditiveValuation:
-    return AdditiveValuation(
-        tuple(tuple(Fraction(v) for v in row) for row in rows)
+def _chores(items: str, rows) -> Instance:
+    """An additive instance with one agent per row of exact values."""
+    return Instance(
+        len(rows),
+        tuple(items),
+        AdditiveValuation(tuple(tuple(Fraction(v) for v in row) for row in rows)),
     )
 
 
@@ -75,17 +78,15 @@ def _table1() -> FixtureSpec:
     # Five agents, seven chores. Agent 1's mild chores a, b, c are severe
     # for everyone else; each row totals -55. The leximin allocation
     # fails PROP1: agent 1 stays below -11 even after her best removal.
-    heavy = [Fraction("-18.1")] * 3
-    light = {
-        1: ["-0.1", "-0.2", "-0.2", "-0.2"],
-        2: ["-0.2", "-0.1", "-0.2", "-0.2"],
-        3: ["-0.2", "-0.2", "-0.1", "-0.2"],
-        4: ["-0.2", "-0.2", "-0.2", "-0.1"],
-    }
-    rows = [tuple(map(Fraction, (-6, -6, -6, -9, -9, -9, -10)))]
-    for i in range(1, 5):
-        rows.append(tuple(heavy + [Fraction(v) for v in light[i]]))
-    inst = Instance(5, tuple("abcdefg"), AdditiveValuation(tuple(rows)))
+    heavy = ("-18.1",) * 3
+    light = (
+        ("-0.1", "-0.2", "-0.2", "-0.2"),
+        ("-0.2", "-0.1", "-0.2", "-0.2"),
+        ("-0.2", "-0.2", "-0.1", "-0.2"),
+        ("-0.2", "-0.2", "-0.2", "-0.1"),
+    )
+    rows = [(-6, -6, -6, -9, -9, -9, -10)] + [heavy + row for row in light]
+    inst = _chores("abcdefg", rows)
     return FixtureSpec(
         name="table1",
         instance=inst,
@@ -112,16 +113,13 @@ def _table1() -> FixtureSpec:
 def _mnw() -> FixtureSpec:
     # Three agents, five chores. The modified-Nash optimum spares agent 1
     # the severe chores d, e but still fails PROP1 at agent 1.
-    inst = Instance(
-        3,
-        tuple("abcde"),
-        _chores(
-            [
-                (-6, -6, -6, -7, -8),
-                (-10, -10, -10, -1, -2),
-                (-10, -10, -10, -2, -1),
-            ]
-        ),
+    inst = _chores(
+        "abcde",
+        [
+            (-6, -6, -6, -7, -8),
+            (-10, -10, -10, -1, -2),
+            (-10, -10, -10, -2, -1),
+        ],
     )
     return FixtureSpec(
         name="mnw",
@@ -143,16 +141,13 @@ def _mnw() -> FixtureSpec:
 def _mnw2() -> FixtureSpec:
     # Three agents, five chores. The constrained-Nash optimum fails EF1:
     # agent 1 envies agent 2 even after any single adjustment.
-    inst = Instance(
-        3,
-        tuple("abcde"),
-        _chores(
-            [
-                (-2, -3, -3, -3, -9),
-                (-2, -3, -9, -2, -4),
-                (-1, -1, -1, -5, -12),
-            ]
-        ),
+    inst = _chores(
+        "abcde",
+        [
+            (-2, -3, -3, -3, -9),
+            (-2, -3, -9, -2, -4),
+            (-1, -1, -1, -5, -12),
+        ],
     )
     return FixtureSpec(
         name="mnw2",
@@ -182,11 +177,7 @@ def _mnw3() -> FixtureSpec:
         ("-7.5", "-10.1", "-2.5", "-8.1", "-8", "-6.6", "-7.2"),
         ("-10.5", "-6.3", "-6.4", "-1", "-6.1", "-13.7", "-6"),
     ]
-    inst = Instance(
-        5,
-        tuple("abcdefg"),
-        AdditiveValuation(tuple(tuple(Fraction(v) for v in row) for row in rows)),
-    )
+    inst = _chores("abcdefg", rows)
     return FixtureSpec(
         name="mnw3",
         instance=inst,

@@ -79,19 +79,26 @@ SPEC_NAMES = {
 }
 
 
+def _counts(inst: Instance, spec: ObjectiveSpec) -> Callable[[int, Bundle], tuple]:
+    """What a built-in spec counts after the value, as a function of
+    (agent, bundle): nothing, the goods held, or the goods held and minus
+    the chores held."""
+    if spec.kind == ObjectiveSpec.UTILITY:
+        return lambda agent, bundle: ()
+    cls = classify_items(inst)
+    if spec.kind == ObjectiveSpec.UTILITY_GOODS:
+        return lambda agent, bundle: ((bundle & cls.goods[agent]).bit_count(),)
+    return lambda agent, bundle: (
+        (bundle & cls.goods[agent]).bit_count(),
+        -(bundle & cls.chores[agent]).bit_count(),
+    )
+
+
 def objective(inst: Instance, spec: ObjectiveSpec, agent: int, bundle: Bundle) -> tuple:
     """The objective tuple of one agent for one bundle, exact."""
     if spec.kind == ObjectiveSpec.CUSTOM:
         return tuple(spec.custom(inst, agent, bundle))
-    val = value(inst, agent, bundle)
-    if spec.kind == ObjectiveSpec.UTILITY:
-        return (val,)
-    cls = classify_items(inst)
-    goods_count = (bundle & cls.goods[agent]).bit_count()
-    if spec.kind == ObjectiveSpec.UTILITY_GOODS:
-        return (val, goods_count)
-    chores_count = (bundle & cls.chores[agent]).bit_count()
-    return (val, goods_count, -chores_count)
+    return (value(inst, agent, bundle), *_counts(inst, spec)(agent, bundle))
 
 
 def _objective_tuples(inst: Instance, spec: ObjectiveSpec, alloc: Allocation) -> list:
@@ -124,22 +131,22 @@ def precedes(inst: Instance, spec: ObjectiveSpec, a: Allocation, b: Allocation) 
 
 
 def _objective_rows(inst: Instance, spec: ObjectiveSpec) -> AllocationRows:
-    """Each agent's built-in objective tuple packed into one integer.
+    """Each agent's built-in objective tuple packed into one integer: the
+    scaled value, then the :func:`_counts` as base-(m+1) digits. Counts add
+    up over items, so each item adds the packed counts of its one-item
+    bundle; two bundles' counts differ by at most m, so integer order on
+    the keys is lexicographic order on the tuples."""
+    base = inst.m + 1
+    counts = _counts(inst, spec)
 
-    With v the scaled value, g the goods count and c the chores count,
-    the keys are v, v*(m+1) + g and v*(m+1)^2 + g*(m+1) - c. Both counts
-    lie in 0..m, so integer order on the keys is lexicographic order on
-    the tuples.
-    """
-    if spec.kind == ObjectiveSpec.UTILITY:
-        return AllocationRows(inst)
-    m = inst.m
-    cls = classify_items(inst)
-    goods = [[good >> j & 1 for j in range(m)] for good in cls.goods]
-    if spec.kind == ObjectiveSpec.UTILITY_GOODS:
-        return AllocationRows(inst, m + 1, goods)
-    extra = [[g * (m + 1) - (1 - g) for g in row] for row in goods]
-    return AllocationRows(inst, (m + 1) ** 2, extra)
+    def packed(agent: int, bundle: Bundle) -> int:
+        key = 0
+        for count in counts(agent, bundle):
+            key = key * base + count
+        return key
+
+    extra = [[packed(i, 1 << j) for j in range(inst.m)] for i in range(inst.agents)]
+    return AllocationRows(inst, base ** len(counts(0, 0)), extra)
 
 
 def _custom_argmax(inst: Instance, spec: ObjectiveSpec) -> tuple[int, int]:

@@ -8,14 +8,7 @@ from .leximin import SPEC_NAMES, leximin_solve
 from .model import Instance, SolveResult
 from .welfare import constrained_mnw_solve, mnw_prime_solve
 
-METHODS = (
-    "leximin",
-    "leximin++",
-    "leximin-gc",
-    "mnw-prime",
-    "mnw-constrained",
-    "alg-identical",
-)
+METHODS = (*SPEC_NAMES, "mnw-prime", "mnw-constrained", "alg-identical")
 
 
 def solve_with_method(

@@ -269,7 +269,9 @@ class SolveResult:
     Nash-welfare solvers). ``score`` carries a solver-specific aggregate
     where one exists. ``tie_count`` counts optima with the same score;
     ties are broken toward the first allocation in canonical enumeration
-    order. ``search_space`` is the number of allocations enumerated.
+    order. ``search_space`` is n^m, the size of the allocation space,
+    whether or not the solver visits every allocation (0 for the greedy
+    method, which searches none).
     """
 
     allocation: Allocation
@@ -406,8 +408,8 @@ def rescale_common_total(inst: Instance, total: Fraction) -> Instance:
     item set at exactly ``total``.
 
     Each row is multiplied by total / v_i(M), which preserves every
-    within-agent bundle comparison. Requires every v_i(M) to be nonzero
-    and of the same sign as ``total``.
+    within-agent bundle comparison. Requires ``total`` and every v_i(M)
+    to be nonzero and of the same sign.
     """
     if not isinstance(inst.valuation, AdditiveValuation):
         raise NotAdditive("rescaling requires an additive instance")
@@ -417,7 +419,7 @@ def rescale_common_total(inst: Instance, total: Fraction) -> Instance:
         row_total = sum(row, Fraction(0))
         if row_total == 0:
             raise ZeroTotal(i)
-        if (row_total > 0) != (total > 0):
+        if total == 0 or (row_total > 0) != (total > 0):
             raise SignMismatch(i, row_total, total)
         factor = total / row_total
         rows.append(tuple(entry * factor for entry in row))

@@ -76,10 +76,12 @@ def search_counterexamples(
     """Audit ``method`` over ``trials`` generated instances.
 
     ``extra_instances`` are run first, before the random stream, and do
-    not count against ``trials``. Notions whose check exceeds the search
-    cap are reported as not-applicable by the audit and never counted as
-    violations.
+    not count against ``trials``, which must not be negative. Notions
+    whose check exceeds the search cap are reported as not-applicable by
+    the audit and never counted as violations.
     """
+    if trials < 0:
+        raise ValueError(f"trials cannot be negative, got {trials}")
     notions = tuple(notions)
     rng = random.Random(config.seed)
     trial_seeds = [rng.randrange(2**63) for _ in range(trials)]

@@ -56,6 +56,13 @@ def _entries(valuation: dict, key: str) -> list:
     return entries
 
 
+def _values(entries) -> tuple[Fraction, ...]:
+    try:
+        return tuple(parse_value(entry) for entry in entries)
+    except ValueError as exc:
+        raise InvalidInstance(f"malformed value entry: {exc}") from None
+
+
 def _parse_instance(data: dict) -> Instance:
     """The instance a document describes, not yet validated."""
     try:
@@ -74,7 +81,7 @@ def _parse_instance(data: dict) -> Instance:
         rows = _entries(valuation, "matrix")
         if not all(isinstance(row, list) for row in rows):
             raise InvalidInstance("additive matrix rows must be lists")
-        matrix = tuple(tuple(parse_value(entry) for entry in row) for row in rows)
+        matrix = tuple(_values(row) for row in rows)
         model = AdditiveValuation(matrix)
     elif vtype == "general-identical":
         if len(items) > MAX_GENERAL_ITEMS:
@@ -82,7 +89,7 @@ def _parse_instance(data: dict) -> Instance:
                 f"general-identical instances are capped at "
                 f"{MAX_GENERAL_ITEMS} items, got {len(items)}"
             )
-        table = tuple(parse_value(entry) for entry in _entries(valuation, "table"))
+        table = _values(_entries(valuation, "table"))
         model = GeneralIdenticalValuation(table)
     else:
         raise InvalidInstance(f"unknown valuation type {vtype!r}")

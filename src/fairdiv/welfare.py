@@ -24,6 +24,7 @@ import numpy as np
 
 from .enumeration import (
     AllocationRows,
+    _extend,
     assignment_at,
     contribution_matrix,
     guard_search_space,
@@ -180,7 +181,7 @@ def _pareto_frontier(contributions: np.ndarray):
     vectors = np.zeros((1, n), dtype=contributions.dtype)
     counts, firsts = np.ones(1, dtype=index), np.zeros(1, dtype=index)
     for j in range(m):
-        vectors = (vectors[:, None, :] + np.diag(contributions[:, j])).reshape(-1, n)
+        vectors = _extend(vectors, contributions[:, j])
         order = np.lexsort(vectors.T[::-1])
         vectors = vectors[order]
         starts = np.flatnonzero(np.r_[True, (vectors[1:] != vectors[:-1]).any(axis=1)])

@@ -450,6 +450,19 @@ def test_relabelling_agents_keeps_every_verdict(case, data):
     assert verdicts(additive(rows), relabelled) == verdicts(inst, alloc)
 
 
+@given(audited(), st.data())
+def test_permuting_items_keeps_every_verdict(case, data):
+    inst, alloc = case
+    order = data.draw(st.permutations(range(inst.m)))  # new item k was order[k]
+    rows = [[row[old] for old in order] for row in inst.valuation.matrix]
+    permuted = Allocation(inst.agents, tuple(alloc.assignment[old] for old in order))
+
+    def verdicts(inst, alloc):
+        return [res.verdict for _, res in audit(inst, alloc).results]
+
+    assert verdicts(additive(rows), permuted) == verdicts(inst, alloc)
+
+
 @given(audited())
 def test_envy_graph_is_the_envy_relation(case):
     inst, alloc = case

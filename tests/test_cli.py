@@ -274,6 +274,23 @@ def test_search_exit_zero_when_clean():
     assert json.loads(res.output)["violations"] == []
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "--rescale", "0"],
+        ["search", "--rescale", "0", "--method", "leximin", "--trials", "1"],
+        ["search", "--method", "leximin", "--trials", "-3"],
+    ],
+)
+def test_zero_rescale_and_negative_trials_exit_two(args):
+    command, *options = args
+    generator = ["--family", "additive-chores", "--agents", "2", "--items", "2", "--seed", "1"]
+    res = runner.invoke(main, [command, *generator, *options])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "error:" in res.stderr
+
+
 def test_missing_file_and_invalid_json_exit_two(tmp_path):
     res = runner.invoke(
         main, ["solve", "--instance", str(tmp_path / "nope.json"), "--method", "leximin"]

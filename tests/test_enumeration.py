@@ -9,6 +9,7 @@ from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracle
@@ -150,6 +151,20 @@ def assert_po_matches(inst, alloc):
 def test_leximin_solve_matches_oracle(inst, spec, rows):
     with budget(rows):
         assert_leximin_matches(inst, spec)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(1, 2, 2, -1, -1), (0, 1, 0, 0, 0)],
+        [(0, 1, 0, 0, -1), (1, 0, -1, 2, 2)],
+    ],
+)
+@pytest.mark.parametrize("spec", SPECS)
+def test_leximin_counts_never_outweigh_one_unit_of_value(rows, spec):
+    # integer values one unit apart, where the packed counts of a
+    # too-small digit base would overturn the value comparison
+    assert_leximin_matches(additive(rows), spec)
 
 
 @settings(max_examples=40)

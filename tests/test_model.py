@@ -253,6 +253,13 @@ def test_rescale_errors():
         rescale_common_total(general(1, (0, -1)), Fraction(-1))
 
 
+@pytest.mark.parametrize("rows", [[(-1, -2)], [(1, 2)], [(1, -2), (-3, 1)]])
+def test_rescale_rejects_a_zero_target(rows):
+    with pytest.raises(SignMismatch) as raised:
+        rescale_common_total(additive(rows), Fraction(0))
+    assert raised.value.agent == 0
+
+
 @given(
     row=st.lists(st.integers(min_value=-9, max_value=-1), min_size=1, max_size=5),
     total=st.integers(min_value=-20, max_value=-1),

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from fairdiv import (
     GeneratorConfig,
     Prop1Witness,
@@ -21,6 +23,11 @@ def test_zero_trials_and_no_extras_find_nothing():
     assert report.trials == 0
     assert report.violations == ()
     assert not report.found
+
+
+def test_negative_trials_are_rejected():
+    with pytest.raises(ValueError):
+        search_counterexamples(chores_cfg(), "leximin", ("ef",), trials=-3)
 
 
 def test_extra_instances_are_checked_first():

@@ -81,6 +81,12 @@ def test_general_item_cap():
         lambda d: d["valuation"].update(type="general-identical"),
         lambda d: d["valuation"].update(type="general-identical", table=None),
         lambda d: d["valuation"].update(type="general-identical", table="0000"),
+        lambda d: d["valuation"].update(matrix=[[0.5]]),
+        lambda d: d["valuation"].update(matrix=[["x"]]),
+        lambda d: d["valuation"].update(matrix=[[True]]),
+        lambda d: d["valuation"].update(matrix=[[None]]),
+        lambda d: d["valuation"].update(type="general-identical", table=["0", [1], "0", "0"]),
+        lambda d: d["valuation"].update(type="general-identical", table=["0", "1/0", "0", "0"]),
     ],
 )
 def test_malformed_instance_documents(mutate):
