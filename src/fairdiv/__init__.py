@@ -70,7 +70,6 @@ from .model import (
     GeneralIdenticalValuation,
     Instance,
     ItemClassification,
-    Rational,
     SolveResult,
     aversion_view,
     classify_items,

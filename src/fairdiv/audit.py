@@ -49,9 +49,6 @@ GOOD_REMOVAL = "good-removal"
 CHORE_COPY = "chore-copy"
 NO_ADJUSTMENT = "no-adjustment"
 
-#: Canonical notion order used by reports and the command line.
-NOTIONS = ("ef", "ef1", "efx", "prop", "prop1", "po")
-
 
 class Verdict(Enum):
     HOLDS = "holds"
@@ -338,6 +335,9 @@ _CHECKS = {
     "prop1": check_PROP1,
     "po": check_PO,
 }
+
+#: Canonical notion order used by reports and the command line.
+NOTIONS = tuple(_CHECKS)
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,11 @@ def _notions_option(fn):
     )(fn)
 
 
+def _max_space_option(fn):
+    """The search-space cap of every command that may enumerate."""
+    return click.option("--max-space", type=int, default=None, help="Search-space cap.")(fn)
+
+
 def _score_dict(score):
     if score is None:
         return None
@@ -88,7 +93,7 @@ def main():
     help="Objective family; only meaningful with --method leximin.",
 )
 @click.option("--trace", is_flag=True, help="Emit greedy trace as JSON lines.")
-@click.option("--max-space", type=int, default=None, help="Search-space cap.")
+@_max_space_option
 def solve(instance_path, method, objective, trace, max_space):
     """Solve an instance and print the allocation."""
 
@@ -137,7 +142,7 @@ def solve(instance_path, method, objective, trace, max_space):
 @click.option("--instance", "instance_path", required=True, help="Instance JSON file.")
 @click.option("--allocation", "allocation_path", required=True, help="Allocation JSON file.")
 @_notions_option
-@click.option("--max-space", type=int, default=None, help="Search-space cap.")
+@_max_space_option
 def audit_command(instance_path, allocation_path, notions, max_space):
     """Check fairness notions for a given allocation."""
 
@@ -156,18 +161,22 @@ def audit_command(instance_path, allocation_path, notions, max_space):
 
 
 def _generator_options(fn):
-    """The fields of :class:`GeneratorConfig` as options of the same names;
-    :func:`_config` parses the value bounds, which arrive as text."""
+    """:class:`GeneratorConfig`'s fields as options of the same names and
+    defaults; :func:`_config` parses the value bounds, which arrive as text."""
     options = [
         click.option("--family", required=True, type=click.Choice(FAMILIES)),
         click.option("--agents", required=True, type=int),
         click.option("--items", required=True, type=int),
         click.option("--seed", required=True, type=int),
-        click.option("--low", default="-10", show_default=True, help="Lower value bound."),
-        click.option("--high", default="10", show_default=True, help="Upper value bound."),
-        click.option("--denominator", default=10, show_default=True, type=int),
-        click.option("--weight-max", default=8, show_default=True, type=int),
-        click.option("--perturb-max", default=4, show_default=True, type=int),
+        click.option(
+            "--low", default=GeneratorConfig.low, show_default=True, help="Lower value bound."
+        ),
+        click.option(
+            "--high", default=GeneratorConfig.high, show_default=True, help="Upper value bound."
+        ),
+        click.option("--denominator", default=GeneratorConfig.denominator, show_default=True),
+        click.option("--weight-max", default=GeneratorConfig.weight_max, show_default=True),
+        click.option("--perturb-max", default=GeneratorConfig.perturb_max, show_default=True),
         click.option(
             "--rescale", "rescale_total", default=None, help="Common grand-bundle value."
         ),
@@ -207,7 +216,7 @@ def gen(out, **options):
 @click.option("--method", required=True, type=click.Choice(METHODS))
 @_notions_option
 @click.option("--trials", required=True, type=int)
-@click.option("--max-space", type=int, default=None, help="Search-space cap.")
+@_max_space_option
 def search(method, notions, trials, max_space, **options):
     """Hunt for fairness violations of a solver on random instances."""
 
@@ -223,7 +232,7 @@ def search(method, notions, trials, max_space, **options):
 
 @main.command()
 @click.option("--name", required=True, type=click.Choice(FIXTURE_NAMES))
-@click.option("--max-space", type=int, default=None, help="Search-space cap.")
+@_max_space_option
 def fixture(name, max_space):
     """Re-verify one built-in counterexample fixture."""
 

@@ -33,7 +33,7 @@ from math import lcm
 import numpy as np
 
 from .errors import SearchSpaceTooLarge
-from .model import AdditiveValuation, Instance, scaled_table
+from .model import AdditiveValuation, Instance, scaled_table, value
 
 #: Default cap on the number of allocations an exhaustive operation may visit.
 DEFAULT_MAX_SPACE = 10_000_000
@@ -76,18 +76,8 @@ def assignment_index(n: int, assignment) -> int:
 @lru_cache(maxsize=32)
 def exact_value_tables(inst: Instance) -> tuple[tuple[Fraction, ...], ...]:
     """Per-agent tables of all 2^m exact bundle values."""
-    m = inst.m
-    if isinstance(inst.valuation, AdditiveValuation):
-        tables = []
-        for row in inst.valuation.matrix:
-            table = [Fraction(0)] * (1 << m)
-            for mask in range(1, 1 << m):
-                low = mask & -mask
-                table[mask] = table[mask ^ low] + row[low.bit_length() - 1]
-            tables.append(tuple(table))
-        return tuple(tables)
-    shared = tuple(inst.valuation.table)
-    return tuple([shared] * inst.agents)
+    masks = range(1 << inst.m)
+    return tuple(tuple(value(inst, i, mask) for mask in masks) for i in range(inst.agents))
 
 
 def value_scale(inst: Instance) -> int:
@@ -107,14 +97,9 @@ def scaled_value_tables(inst: Instance) -> tuple[tuple[tuple[int, ...], ...], in
     """
     if isinstance(inst.valuation, AdditiveValuation):
         scale = value_scale(inst)
-        tables = tuple(
-            tuple(int(entry * scale) for entry in table)
-            for table in exact_value_tables(inst)
-        )
-    else:
-        lookup, scale = scaled_table(inst.valuation)
-        tables = (tuple(lookup.tolist()),) * inst.agents
-    return tables, scale
+        tables = exact_value_tables(inst)
+        return tuple(tuple(int(entry * scale) for entry in table) for table in tables), scale
+    return (inst.valuation.scaled,) * inst.agents, inst.valuation.scale
 
 
 def contribution_matrix(

@@ -122,28 +122,32 @@ def _draw_row(rng: random.Random, config: GeneratorConfig) -> tuple[Fraction, ..
 
 def _draw_general_table(
     rng: random.Random, config: GeneratorConfig, strict: bool
-) -> tuple[Fraction, ...]:
-    m = config.items
+) -> GeneralIdenticalValuation:
+    """v(S) = the sum of S's item weights plus epsilon times a perturbation
+    h(S) in [-P, P], built as integers over 1 / epsilon (over 1 if P = 0)."""
+    m, bound = config.items, config.perturb_max
     weights = []
     for _ in range(m):
         sign = rng.choice((-1, 1))
         weights.append(sign * rng.randint(1, config.weight_max))
-    if config.perturb_max == 0:
-        epsilon = Fraction(0)
+    if bound == 0:
+        denominator = 1
     elif strict:
         # |epsilon * (h(S+o) - h(S))| <= 2P/(2P+1) < 1 <= |weight|
-        epsilon = Fraction(1, 2 * config.perturb_max + 1)
+        denominator = 2 * bound + 1
     else:
         # |epsilon * (h(S+o) - h(S))| <= 1 <= |weight|, equality possible
-        epsilon = Fraction(1, 2 * config.perturb_max)
-    perturbation = [0] * (1 << m)
+        denominator = 2 * bound
+    table = [0] * (1 << m)
     for mask in range(1, 1 << m):
-        perturbation[mask] = rng.randint(-config.perturb_max, config.perturb_max)
-    table = []
-    for mask in range(1 << m):
-        base = sum(weights[j] for j in range(m) if mask >> j & 1)
-        table.append(base + epsilon * perturbation[mask])
-    return tuple(table)
+        low = mask & -mask
+        table[mask] = table[mask ^ low] + denominator * weights[low.bit_length() - 1]
+    for mask in range(1, 1 << m):
+        table[mask] += rng.randint(-bound, bound)
+    divisor = math.gcd(denominator, *table)
+    if divisor > 1:
+        table = [entry // divisor for entry in table]
+    return GeneralIdenticalValuation(tuple(table), denominator // divisor)
 
 
 def generate(config: GeneratorConfig) -> Instance:
@@ -161,6 +165,6 @@ def generate(config: GeneratorConfig) -> Instance:
             inst = rescale_common_total(inst, Fraction(config.rescale_total))
     else:
         strict = config.family == GENERAL_IDENTICAL_NONZERO
-        table = _draw_general_table(rng, config, strict)
-        inst = Instance(config.agents, items, GeneralIdenticalValuation(table))
+        valuation = _draw_general_table(rng, config, strict)
+        inst = Instance(config.agents, items, valuation)
     return validate_instance(inst)

@@ -1,17 +1,18 @@
 """Core data model: exact values, valuations, instances and allocations.
 
-All arithmetic is exact. Values are ``fractions.Fraction`` throughout; no
-floating point enters any computation. Bundles are bitmasks over item
-indices (bit j set means item j is in the bundle), so subset manipulation
-is integer arithmetic.
+All arithmetic is exact and no floating point enters any computation.
+Additive entries and bundle values are ``fractions.Fraction``s; a general
+table is stored once, as integers over one positive scale. Bundles are
+bitmasks over item indices (bit j set means item j is in the bundle), so
+subset manipulation is integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import lcm
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Union
 
 import numpy as np
@@ -26,9 +27,6 @@ from .errors import (
     SignMismatch,
     ZeroTotal,
 )
-
-#: Exact rational value. Always in lowest terms with positive denominator.
-Rational = Fraction
 
 #: A bundle of items, encoded as a bitmask over item indices.
 Bundle = int
@@ -98,31 +96,40 @@ class AdditiveValuation:
 
 @dataclass(frozen=True)
 class GeneralIdenticalValuation:
-    """One set function shared by all agents, as a dense table of 2^m exact
-    values indexed by bundle bitmask.
+    """One set function shared by all agents: a dense table of 2^m exact
+    values indexed by bundle bitmask, bundle S being worth
+    ``scaled[S] / scale``.
 
-    The hash is computed once, on first use: every cached function keyed
-    on an instance hashes it, and hashing 2^16 ``Fraction`` values takes
-    tens of milliseconds. Equality still compares the tables.
+    The form is canonical: ``scale`` is the least common multiple of the
+    values' reduced denominators, so ``gcd(scale, *scaled) == 1`` and equal
+    tables are equal objects. :meth:`of` builds one from exact values.
     """
 
-    table: tuple[Fraction, ...]
+    scaled: tuple[int, ...]
+    scale: int
 
     kind = "general-identical"
 
     def __post_init__(self):
-        size = len(self.table)
+        size = len(self.scaled)
         if size == 0 or size & (size - 1):
             raise InvalidInstance(
                 f"general valuation table length must be a power of two, got {size}"
             )
+        if self.scale < 1 or gcd(self.scale, *self.scaled) != 1:
+            raise InvalidInstance(f"scale {self.scale} is not positive or not reduced")
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self.table)
-
-    def __hash__(self) -> int:
-        return self._hash
+    @classmethod
+    def of(cls, values) -> "GeneralIdenticalValuation":
+        """The table of exact values (``Fraction``s or integers) listed in
+        bundle-bitmask order, keeping only their numerators and
+        denominators while ``values`` is read."""
+        numerators, denominators = [], []
+        for entry in values:
+            numerators.append(entry.numerator)
+            denominators.append(entry.denominator)
+        scale = lcm(*set(denominators))
+        return cls(tuple(a * (scale // b) for a, b in zip(numerators, denominators)), scale)
 
 
 Valuation = Union[AdditiveValuation, GeneralIdenticalValuation]
@@ -153,10 +160,10 @@ class Instance:
                     f"got {len(self.valuation.matrix[0])}"
                 )
         else:
-            if len(self.valuation.table) != 1 << len(self.items):
+            if len(self.valuation.scaled) != 1 << len(self.items):
                 raise InvalidInstance(
                     f"expected a table of {1 << len(self.items)} values, "
-                    f"got {len(self.valuation.table)}"
+                    f"got {len(self.valuation.scaled)}"
                 )
 
     @property
@@ -282,27 +289,21 @@ class SolveResult:
 
 
 def scaled_table(valuation: GeneralIdenticalValuation) -> tuple[np.ndarray, int]:
-    """A general table as exact integers under one positive scale.
+    """A general table's integers as an array, and its scale.
 
-    Every entry is multiplied by the least common multiple of the table's
-    denominators, so integer order on the result is exact order on the
-    values. The array is int64 when every scaled entry lies strictly
-    between -2^63 and 2^63, and otherwise a ``dtype=object`` array of
-    Python integers. Returns (array indexed by bundle bitmask, scale).
+    Integer order on the array is exact order on the values. It is int64
+    when every entry lies strictly between -2^63 and 2^63, and otherwise a
+    ``dtype=object`` array of Python integers. Returns (array indexed by
+    bundle bitmask, scale).
     """
-    table = valuation.table
-    scale = lcm(*{entry.denominator for entry in table})
-
-    def entries():
-        return (entry.numerator * (scale // entry.denominator) for entry in table)
-
+    scaled = valuation.scaled
     try:
-        scaled = np.fromiter(entries(), np.int64, len(table))
-        if scaled.min() > np.iinfo(np.int64).min:
-            return scaled, scale
+        array = np.fromiter(scaled, np.int64, len(scaled))
+        if array.min() > np.iinfo(np.int64).min:
+            return array, valuation.scale
     except OverflowError:
         pass
-    return np.fromiter(entries(), object, len(table)), scale
+    return np.fromiter(scaled, object, len(scaled)), valuation.scale
 
 
 def _first_subset(hits: np.ndarray, item: int) -> Bundle | None:
@@ -350,9 +351,8 @@ def validate_instance(inst: Instance) -> Instance:
     """
     if isinstance(inst.valuation, AdditiveValuation):
         return inst
-    table = inst.valuation.table
-    if table[0] != 0:
-        raise NonzeroEmptySet(table[0])
+    if inst.valuation.scaled[0] != 0:
+        raise NonzeroEmptySet(value(inst, 0, 0))
     for item, raising, lowering in _marginal_signs(inst.valuation):
         if raising is not None and lowering is not None:
             raise MixedMonotonicity(item, raising, lowering)
@@ -392,7 +392,7 @@ def classify_items(inst: Instance) -> ItemClassification:
 def value(inst: Instance, agent: int, bundle: Bundle) -> Fraction:
     """Exact value of a bundle (bitmask) to an agent."""
     if isinstance(inst.valuation, GeneralIdenticalValuation):
-        return inst.valuation.table[bundle]
+        return Fraction(inst.valuation.scaled[bundle], inst.valuation.scale)
     row = inst.valuation.matrix[agent]
     total = Fraction(0)
     rest = bundle

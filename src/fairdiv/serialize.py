@@ -19,6 +19,7 @@ from .model import (
     format_value,
     parse_value,
     validate_instance,
+    value,
 )
 
 #: General valuation tables are dense, so the file format caps item count.
@@ -37,7 +38,7 @@ def instance_to_dict(inst: Instance) -> dict:
     else:
         valuation = {
             "type": "general-identical",
-            "table": [format_value(entry) for entry in inst.valuation.table],
+            "table": [format_value(value(inst, 0, mask)) for mask in range(1 << inst.m)],
         }
     return {
         "agents": inst.agents,
@@ -56,9 +57,10 @@ def _entries(valuation: dict, key: str) -> list:
     return entries
 
 
-def _values(entries) -> tuple[Fraction, ...]:
+def _values(entries):
+    """The exact values of a list of entries, parsed one at a time."""
     try:
-        return tuple(parse_value(entry) for entry in entries)
+        yield from map(parse_value, entries)
     except ValueError as exc:
         raise InvalidInstance(f"malformed value entry: {exc}") from None
 
@@ -81,7 +83,7 @@ def _parse_instance(data: dict) -> Instance:
         rows = _entries(valuation, "matrix")
         if not all(isinstance(row, list) for row in rows):
             raise InvalidInstance("additive matrix rows must be lists")
-        matrix = tuple(_values(row) for row in rows)
+        matrix = tuple(tuple(_values(row)) for row in rows)
         model = AdditiveValuation(matrix)
     elif vtype == "general-identical":
         if len(items) > MAX_GENERAL_ITEMS:
@@ -89,8 +91,7 @@ def _parse_instance(data: dict) -> Instance:
                 f"general-identical instances are capped at "
                 f"{MAX_GENERAL_ITEMS} items, got {len(items)}"
             )
-        table = _values(_entries(valuation, "table"))
-        model = GeneralIdenticalValuation(table)
+        model = GeneralIdenticalValuation.of(_values(_entries(valuation, "table")))
     else:
         raise InvalidInstance(f"unknown valuation type {vtype!r}")
     return Instance(agents=agents, items=items, valuation=model)

@@ -38,7 +38,7 @@ def general(agents: int, table) -> Instance:
     return Instance(
         agents=agents,
         items=tuple(ITEM_NAMES[:m]),
-        valuation=GeneralIdenticalValuation(entries),
+        valuation=GeneralIdenticalValuation.of(entries),
     )
 
 

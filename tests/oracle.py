@@ -25,11 +25,16 @@ from fairdiv import (
 from fairdiv.enumeration import exact_value_tables
 
 
+def general_table(valuation):
+    """A general table's exact values, in bundle-bitmask order."""
+    return [Fraction(entry, valuation.scale) for entry in valuation.scaled]
+
+
 def validate_instance(inst):
     """Scan every marginal of a general table in ascending subset order."""
     if isinstance(inst.valuation, AdditiveValuation):
         return inst
-    table = inst.valuation.table
+    table = general_table(inst.valuation)
     if table[0] != 0:
         raise NonzeroEmptySet(table[0])
     m = inst.m
@@ -63,7 +68,7 @@ def classify_items(inst):
                     mask |= 1 << j
             goods.append(mask)
     else:
-        table = inst.valuation.table
+        table = general_table(inst.valuation)
         shared = 0
         for j in range(m):
             bit = 1 << j

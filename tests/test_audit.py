@@ -31,6 +31,7 @@ from fairdiv import (
     eliminate_envy_cycles,
     envies,
     fixture_instance,
+    validate_instance,
     value,
 )
 from fairdiv.audit import NO_ADJUSTMENT
@@ -302,6 +303,70 @@ def test_checks_work_on_general_valuations():
     assert check_EFX(inst, alloc).holds
     assert check_PROP(inst, alloc).holds
     assert check_PO(inst, alloc).holds
+
+
+@st.composite
+def general_audited(draw):
+    """A general table kept as ``Fraction``s, its item weights, the
+    instance built from it and one allocation.
+
+    Each bundle is worth its items' nonzero integer weights plus a bump of
+    at most 1/4, whose denominator may be 2^70 + 1; a bump moves a marginal
+    by at most 1/2, so every item keeps its weight's sign.
+    """
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=m, max_size=m))
+    bumps = st.builds(Fraction, st.integers(-1, 1), st.sampled_from((4, 5, 12, 2**70 + 1)))
+    table = [Fraction(0)]
+    for mask in range(1, 1 << m):
+        table.append(sum(w for j, w in enumerate(weights) if mask >> j & 1) + draw(bumps))
+    assignment = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    return table, weights, general(n, table), Allocation(n, tuple(assignment))
+
+
+@given(general_audited())
+def test_general_witnesses_carry_the_exact_bundle_values(case):
+    table, weights, inst, alloc = case
+    validate_instance(inst)
+    masks = alloc.bundles()
+    n, m = inst.agents, inst.m
+    share = table[-1] / n
+    held = [table[mask] for mask in masks]  # anyone's value for each bundle
+    envious = [(i, j) for i in range(n) for j in range(n) if held[i] < held[j]]
+    results = dict(audit(inst, alloc, ("ef", "ef1", "efx", "prop", "prop1")).results)
+    assert results["ef"].holds == (not envious)
+    assert results["prop"].holds == all(own >= share for own in held)
+    for notion, res in results.items():
+        if res.holds:
+            continue
+        witness = res.witness
+        if notion in ("prop", "prop1"):
+            own = held[witness.agent]
+            assert (witness.value, witness.threshold) == (own, share)
+            if notion == "prop1":
+                adjusted = [table[masks[witness.agent] ^ (1 << k)] for k in range(m)]
+                assert witness.best_adjusted == max(adjusted + [own])
+            continue
+        i, j = witness.i, witness.j
+        assert (i, j) in envious
+        assert witness.own == held[i]
+        # Removing one of j's goods, or copying one of i's chores onto j.
+        targets = {}
+        for k in range(m):
+            if masks[j] >> k & 1 and weights[k] > 0:
+                targets[k] = table[masks[j] & ~(1 << k)]
+            elif masks[i] >> k & 1 and weights[k] < 0:
+                targets[k] = table[masks[j] | 1 << k]
+        if notion == "ef":
+            assert (i, j) == envious[0] and witness.other == held[j]
+        elif notion == "ef1":
+            assert witness.other == held[j]
+            assert witness.best_target == min(targets.values(), default=None)
+        elif witness.item is None:
+            assert not targets and witness.adjusted == held[j]
+        else:
+            assert witness.adjusted == targets[witness.item]
 
 
 # ------------------------------------------------------------ envy graph

@@ -1,5 +1,6 @@
 """Random instance generation: determinism, ranges and validity."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,50 @@ def test_config_validation():
     # a chores grid needs at least one value below zero
     with pytest.raises(ValueError):
         generate(cfg(low=Fraction(1), high=Fraction(10)))
+
+
+@pytest.mark.parametrize(
+    "family, options, digest",
+    [
+        (
+            "general-identical",
+            {},
+            "eacd21d138298f61b13d046ea024ecfd1ec083ae0a11d5acc885aa852b40e9b3",
+        ),
+        (
+            "general-identical-nonzero-marginal",
+            {},
+            "7fc1d9dc3e62e1c06f0d00d9ba61165e0aedf3fcb97e1b56400186ed56c86a8b",
+        ),
+        (
+            "general-identical",
+            {"perturb_max": 0},
+            "a2b5374894acb8e4b01def7159d93f48756c802fe51dcc825849b18ce33110e2",
+        ),
+        (
+            "general-identical",
+            {"perturb_max": 1, "weight_max": 1},
+            "53a0459fb321ec368322dcad9a6005b33129ad8ef99c71f09dec9007a368eaf1",
+        ),
+    ],
+)
+def test_sixteen_item_general_tables_keep_their_bytes(family, options, digest):
+    text = instance_to_json(generate(GeneratorConfig(2, 16, family, 1, **options)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_a_reduced_general_table_equals_its_round_trip():
+    # Every perturbation this seed draws is even, so the entries over
+    # 2 * perturb_max = 4 share the factor 2 and are stored over scale 2.
+    inst = generate(
+        cfg(family="general-identical", agents=2, items=3, seed=32, perturb_max=2)
+    )
+    assert inst.valuation.scale == 2
+    again = instance_from_json(instance_to_json(inst))
+    assert again == inst
+    assert hash(again) == hash(inst)
+    exact = [value(inst, 0, mask) for mask in range(1 << inst.m)]
+    assert GeneralIdenticalValuation.of(exact) == inst.valuation
 
 
 def test_generated_instances_serialize_round_trip():

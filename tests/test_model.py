@@ -88,9 +88,28 @@ def test_additive_valuation_rejects_ragged_rows():
 
 def test_general_valuation_needs_power_of_two_table():
     with pytest.raises(InvalidInstance):
-        GeneralIdenticalValuation((Fraction(0), Fraction(1), Fraction(2)))
+        GeneralIdenticalValuation.of((Fraction(0), Fraction(1), Fraction(2)))
     with pytest.raises(InvalidInstance):
-        GeneralIdenticalValuation(())
+        GeneralIdenticalValuation.of(())
+
+
+def test_general_valuation_is_stored_once_in_lowest_terms():
+    valuation = GeneralIdenticalValuation.of(
+        (Fraction(0), Fraction(1, 2), Fraction(-3, 4), Fraction(1, 2**70 + 1))
+    )
+    assert valuation.scale == 4 * (2**70 + 1)
+    assert valuation.scaled == (0, 2 * (2**70 + 1), -3 * (2**70 + 1), 4)
+    assert GeneralIdenticalValuation.of((0, 2)) == GeneralIdenticalValuation((0, 2), 1)
+    assert GeneralIdenticalValuation.of((0,)) == GeneralIdenticalValuation((0,), 1)
+
+
+@pytest.mark.parametrize(
+    "scaled, scale",
+    [((0, 1), 0), ((0, 1), -1), ((0, 2), 2), ((0, 6, -9, 3), 3), ((0,), 2)],
+)
+def test_general_valuation_rejects_a_scale_that_is_not_canonical(scaled, scale):
+    with pytest.raises(InvalidInstance):
+        GeneralIdenticalValuation(scaled, scale)
 
 
 def test_instance_structural_checks():
@@ -104,7 +123,7 @@ def test_instance_structural_checks():
     with pytest.raises(InvalidInstance):
         Instance(0, (), AdditiveValuation(((),)))  # no agents
     with pytest.raises(InvalidInstance):
-        Instance(1, ("a", "b"), GeneralIdenticalValuation((Fraction(0), Fraction(1))))
+        Instance(1, ("a", "b"), GeneralIdenticalValuation.of((Fraction(0), Fraction(1))))
 
 
 def test_instance_bundle_helpers():
