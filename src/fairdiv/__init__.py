@@ -1,9 +1,10 @@
 """Exact solvers and auditors for allocating indivisible goods and chores.
 
-The library keeps every computation in exact rational arithmetic: solvers
-enumerate the full allocation space under a configurable cap, fairness
-checks return re-verifiable witnesses, and seeded generators plus pinned
-fixtures make every result reproducible.
+Every computation is exact. The leximin and mnw-prime solvers enumerate
+all n^m allocations, mnw-constrained builds the Pareto frontier one item
+at a time, both under a configurable cap on n^m, and alg-identical is a
+greedy that searches nothing. Fairness checks return re-verifiable
+witnesses; seeded generators and pinned fixtures make results reproducible.
 """
 
 from .audit import (

@@ -17,7 +17,6 @@ from .errors import FairdivError
 from .fixtures import FIXTURE_NAMES, run_fixture
 from .generators import FAMILIES, GeneratorConfig, generate
 from .greedy import alg_identical_trace, greedy_result
-from .leximin import SPEC_NAMES
 from .methods import METHODS, solve_with_method
 from .model import format_value, parse_value
 from .search import search_counterexamples
@@ -69,15 +68,19 @@ def _score_dict(score):
     }
 
 
-def _guarded(fn):
-    try:
-        return fn()
-    except (FairdivError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+class _Group(click.Group):
+    """The command group, and the one place where bad input of any command
+    becomes ``error: ...`` on stderr and exit 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (FairdivError, ValueError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
 
 
-@click.group()
+@click.group(cls=_Group)
 def main():
     """Exact solvers, fairness checks and counterexample search for
     allocating indivisible goods and chores."""
@@ -86,56 +89,41 @@ def main():
 @main.command()
 @click.option("--instance", "instance_path", required=True, help="Instance JSON file.")
 @click.option("--method", required=True, type=click.Choice(METHODS))
-@click.option(
-    "--objective",
-    type=click.Choice(sorted(SPEC_NAMES)),
-    default=None,
-    help="Objective family; only meaningful with --method leximin.",
-)
 @click.option("--trace", is_flag=True, help="Emit greedy trace as JSON lines.")
 @_max_space_option
-def solve(instance_path, method, objective, trace, max_space):
+def solve(instance_path, method, trace, max_space):
     """Solve an instance and print the allocation."""
-
-    def run():
-        effective = method
-        if objective is not None:
-            if method != "leximin":
-                raise FairdivError("--objective applies only to --method leximin")
-            effective = objective
-        inst = _load(instance_path, instance_from_json)
-        if trace:
-            if effective != "alg-identical":
-                raise FairdivError("--trace applies only to --method alg-identical")
-            steps = alg_identical_trace(inst)
-            for step in steps:
-                click.echo(
-                    json.dumps(
-                        {
-                            "item": inst.items[step.item],
-                            "agent": step.agent,
-                            "utilities": [format_value(u) for u in step.utilities],
-                        }
-                    )
+    inst = _load(instance_path, instance_from_json)
+    if trace:
+        if method != "alg-identical":
+            raise FairdivError("--trace applies only to --method alg-identical")
+        steps = alg_identical_trace(inst)
+        for step in steps:
+            click.echo(
+                json.dumps(
+                    {
+                        "item": inst.items[step.item],
+                        "agent": step.agent,
+                        "utilities": [format_value(u) for u in step.utilities],
+                    }
                 )
-            result = greedy_result(inst, steps)
-        else:
-            result = solve_with_method(inst, effective, max_space)
-        click.echo(
-            dumps(
-                {
-                    "method": effective,
-                    "allocation": allocation_to_dict(inst, result.allocation),
-                    "objective_vector": objective_vector_to_list(result.objective_vector),
-                    "score": _score_dict(result.score),
-                    "tie_count": result.tie_count,
-                    "search_space": result.search_space,
-                }
-            ),
-            nl=False,
-        )
-
-    _guarded(run)
+            )
+        result = greedy_result(inst, steps)
+    else:
+        result = solve_with_method(inst, method, max_space)
+    click.echo(
+        dumps(
+            {
+                "method": method,
+                "allocation": allocation_to_dict(inst, result.allocation),
+                "objective_vector": objective_vector_to_list(result.objective_vector),
+                "score": _score_dict(result.score),
+                "tie_count": result.tie_count,
+                "search_space": result.search_space,
+            }
+        ),
+        nl=False,
+    )
 
 
 @main.command("audit")
@@ -145,19 +133,15 @@ def solve(instance_path, method, objective, trace, max_space):
 @_max_space_option
 def audit_command(instance_path, allocation_path, notions, max_space):
     """Check fairness notions for a given allocation."""
-
-    def run():
-        inst = _load(instance_path, instance_from_json)
-        alloc = _load(allocation_path, lambda text: allocation_from_json(inst, text))
-        report = audit(inst, alloc, notions, max_space)
-        click.echo(dumps(report.as_list(inst)), nl=False)
-        verdicts = [res.verdict for _, res in report.results]
-        if Verdict.FAILS in verdicts:
-            sys.exit(1)
-        if Verdict.NOT_APPLICABLE in verdicts:
-            sys.exit(2)
-
-    _guarded(run)
+    inst = _load(instance_path, instance_from_json)
+    alloc = _load(allocation_path, lambda text: allocation_from_json(inst, text))
+    report = audit(inst, alloc, notions, max_space)
+    click.echo(dumps(report.as_list(inst)), nl=False)
+    verdicts = [res.verdict for _, res in report.results]
+    if Verdict.FAILS in verdicts:
+        sys.exit(1)
+    if Verdict.NOT_APPLICABLE in verdicts:
+        sys.exit(2)
 
 
 def _generator_options(fn):
@@ -200,15 +184,11 @@ def _config(options: dict) -> GeneratorConfig:
 @click.option("--out", default=None, help="Write the instance here instead of stdout.")
 def gen(out, **options):
     """Generate a random instance."""
-
-    def run():
-        text = dumps(instance_to_dict(generate(_config(options))))
-        if out is None:
-            click.echo(text, nl=False)
-        else:
-            Path(out).write_text(text)
-
-    _guarded(run)
+    text = dumps(instance_to_dict(generate(_config(options))))
+    if out is None:
+        click.echo(text, nl=False)
+    else:
+        Path(out).write_text(text)
 
 
 @main.command()
@@ -219,15 +199,10 @@ def gen(out, **options):
 @_max_space_option
 def search(method, notions, trials, max_space, **options):
     """Hunt for fairness violations of a solver on random instances."""
-
-    def run():
-        config = _config(options)
-        report = search_counterexamples(config, method, notions, trials, max_space=max_space)
-        click.echo(dumps(report.as_dict()), nl=False)
-        if report.found:
-            sys.exit(1)
-
-    _guarded(run)
+    report = search_counterexamples(_config(options), method, notions, trials, max_space=max_space)
+    click.echo(dumps(report.as_dict()), nl=False)
+    if report.found:
+        sys.exit(1)
 
 
 @main.command()
@@ -235,12 +210,8 @@ def search(method, notions, trials, max_space, **options):
 @_max_space_option
 def fixture(name, max_space):
     """Re-verify one built-in counterexample fixture."""
-
-    def run():
-        report = run_fixture(name, max_space)
-        click.echo(dumps(report.as_dict()), nl=False)
-
-    _guarded(run)
+    report = run_fixture(name, max_space)
+    click.echo(dumps(report.as_dict()), nl=False)
 
 
 if __name__ == "__main__":

@@ -135,7 +135,13 @@ def _objective_rows(inst: Instance, spec: ObjectiveSpec) -> AllocationRows:
     scaled value, then the :func:`_counts` as base-(m+1) digits. Counts add
     up over items, so each item adds the packed counts of its one-item
     bundle; two bundles' counts differ by at most m, so integer order on
-    the keys is lexicographic order on the tuples."""
+    the keys is lexicographic order on the tuples.
+
+    Base m would be exact too, so no test can tell the two apart. On a
+    validated instance a bundle made only of an agent's goods is worth at
+    least 0 to that agent, and one made only of its chores at most 0. Only
+    counts m apart, which come from such bundles, could overflow base m,
+    and their values already order them."""
     base = inst.m + 1
     counts = _counts(inst, spec)
 

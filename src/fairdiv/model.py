@@ -359,7 +359,7 @@ def validate_instance(inst: Instance) -> Instance:
     return inst
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def classify_items(inst: Instance) -> ItemClassification:
     """Split items into goods and chores for each agent.
 
@@ -367,7 +367,9 @@ def classify_items(inst: Instance) -> ItemClassification:
     items count as goods). General identical: item j is a good iff none
     of its marginals is negative, read from the same exact integer
     comparisons as :func:`validate_instance` makes; the classification is
-    shared by all agents.
+    shared by all agents. Only the last instance is cached: every command
+    and search trial works on one at a time, and a larger cache would keep
+    old instances alive.
     """
     if isinstance(inst.valuation, AdditiveValuation):
         goods = []

@@ -3,14 +3,16 @@ audit its output.
 
 Per-trial seeds are drawn once from the config seed, so the whole run is
 reproducible and every reported violation can be re-verified from the
-report alone. Explicit instances can be prepended to the stream, which is
-how known hard instances are replayed through the harness.
+report alone. Each trial's instance is generated when the trial runs.
+Explicit instances can be prepended to the stream, which is how known
+hard instances are replayed through the harness.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from .audit import CheckResult, Verdict, audit
 from .generators import GeneratorConfig, generate
@@ -85,11 +87,10 @@ def search_counterexamples(
     notions = tuple(notions)
     rng = random.Random(config.seed)
     trial_seeds = [rng.randrange(2**63) for _ in range(trials)]
-    stream: list[tuple[int | None, Instance]] = [
-        (None, inst) for inst in extra_instances
-    ]
-    for seed in trial_seeds:
-        stream.append((seed, generate(replace(config, seed=seed))))
+    stream = chain(
+        ((None, inst) for inst in extra_instances),
+        ((seed, generate(replace(config, seed=seed))) for seed in trial_seeds),
+    )
     violations = []
     for trial, (seed, inst) in enumerate(stream):
         result = solve_with_method(inst, method, max_space)

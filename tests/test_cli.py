@@ -1,18 +1,22 @@
 """End-to-end command line coverage via click's test runner."""
 
+import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 from fairdiv import (
     Allocation,
+    WelfareScore,
     allocation_to_dict,
     fixture_instance,
     instance_to_dict,
 )
 from fairdiv import greedy
 from fairdiv.cli import main
+from fairdiv.fixtures import FIXTURES
 from fairdiv.serialize import dumps
 
 runner = CliRunner()
@@ -81,21 +85,6 @@ def test_gen_is_deterministic_and_prints_json():
     assert doc["items"] == ["o1", "o2", "o3", "o4", "o5"]
 
 
-def test_solve_objective_requires_leximin(tmp_path):
-    _, instance_path = write_instance(tmp_path, "mnw")
-    res = runner.invoke(
-        main,
-        [
-            "solve",
-            "--instance", instance_path,
-            "--method", "mnw-prime",
-            "--objective", "leximin++",
-        ],
-    )
-    assert res.exit_code == 2
-    assert "error:" in res.stderr
-
-
 def test_solve_objective_switches_the_leximin_family(tmp_path):
     _, instance_path = write_instance(tmp_path, "table1")
     res = runner.invoke(
@@ -103,8 +92,7 @@ def test_solve_objective_switches_the_leximin_family(tmp_path):
         [
             "solve",
             "--instance", instance_path,
-            "--method", "leximin",
-            "--objective", "leximin-gc",
+            "--method", "leximin-gc",
         ],
     )
     assert res.exit_code == 0
@@ -233,6 +221,17 @@ def test_fixture_command(tmp_path):
     assert doc["fails"] == "ef1"
     assert doc["tie_count"] == 1
     assert doc["allocation"]["bundles"] == [["a", "b", "c"], ["d"], ["e"]]
+
+
+def test_fixture_divergence_exits_two(monkeypatch):
+    broken = dataclasses.replace(
+        FIXTURES["mnw2"], expected_score=WelfareScore(3, Fraction(191))
+    )
+    monkeypatch.setitem(FIXTURES, "mnw2", broken)
+    res = runner.invoke(main, ["fixture", "--name", "mnw2"])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: fixture 'mnw2' diverged")
 
 
 def test_search_exit_one_when_a_violation_is_found():

@@ -6,6 +6,7 @@ and on the exact object-dtype path, whatever the chunking.
 """
 
 from fractions import Fraction
+from itertools import product
 from unittest.mock import patch
 
 import numpy as np
@@ -26,10 +27,12 @@ from fairdiv import (
     mnw_prime_solve,
     modified_nash_welfare,
     nash_prime_factors,
+    objective,
     value,
 )
 from fairdiv import enumeration
 from fairdiv.enumeration import AllocationRows, assignment_at, contribution_matrix
+from fairdiv.leximin import _objective_rows
 from fairdiv.welfare import _pareto_frontier
 
 SPECS = tuple(SPEC_NAMES.values())
@@ -165,6 +168,47 @@ def test_leximin_counts_never_outweigh_one_unit_of_value(rows, spec):
     # integer values one unit apart, where the packed counts of a
     # too-small digit base would overturn the value comparison
     assert_leximin_matches(additive(rows), spec)
+
+
+def capped_table(weights, cap):
+    """A general table of up to ``cap`` goods minus up to ``cap`` chores
+    among the held items of weight 1 and -1: items of weight 0, and every
+    item once its side is capped, have zero marginals."""
+    table = []
+    for mask in range(1 << len(weights)):
+        held = [w for j, w in enumerate(weights) if mask >> j & 1]
+        table.append(min(held.count(1), cap) - min(held.count(-1), cap))
+    return table
+
+
+#: Small validated instances whose values lie one scaled unit apart, with
+#: zero-valued goods, and general tables with zero marginals.
+PACKING_INSTANCES = (
+    [additive(rows) for m in range(4) for rows in product(product((-1, 0, 1), repeat=m), repeat=2)]
+    + [additive([row]) for row in product((-1, 0, 1), repeat=4)]
+    + [additive([(Fraction(1, 2), Fraction(-1, 3), 0), (Fraction(-1, 6), 0, Fraction(1, 3))])]
+    + [
+        general(2, capped_table(weights, cap))
+        for m in range(4)
+        for weights in product((-1, 0, 1), repeat=m)
+        for cap in (1, 2)
+    ]
+)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_packed_row_entries_order_like_objective_tuples(spec):
+    for inst in PACKING_INSTANCES:
+        pairs = set()
+        for start, chunk in _objective_rows(inst, spec).chunks():
+            for index, row in enumerate(chunk.tolist(), start):
+                alloc = Allocation(inst.agents, assignment_at(inst.agents, inst.m, index))
+                for agent, bundle in enumerate(alloc.bundles()):
+                    pairs.add((row[agent], objective(inst, spec, agent, bundle)))
+        entries = {entry for entry, _ in pairs}
+        tuples = {key for _, key in pairs}
+        assert len(entries) == len(tuples) == len(pairs), inst
+        assert [key for _, key in sorted(pairs)] == sorted(tuples), inst
 
 
 @settings(max_examples=40)

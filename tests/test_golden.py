@@ -98,12 +98,6 @@ def _cases() -> dict[str, list[str]]:
     cases["solve identical.json alg-identical --trace"] = _solve(
         "identical.json", "alg-identical", "--trace"
     )
-    cases["solve chores.json leximin --objective leximin-gc"] = _solve(
-        "chores.json", "leximin", "--objective", "leximin-gc"
-    )
-    cases["solve chores.json mnw-prime --objective leximin++"] = _solve(
-        "chores.json", "mnw-prime", "--objective", "leximin++"
-    )
     cases["solve chores.json leximin --trace"] = _solve("chores.json", "leximin", "--trace")
     cases["solve chores.json leximin --max-space 10"] = _solve(
         "chores.json", "leximin", "--max-space", "10"

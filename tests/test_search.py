@@ -1,9 +1,12 @@
 """Counterexample search over generated instances."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from fairdiv import search
 from fairdiv import (
     GeneratorConfig,
     Prop1Witness,
@@ -82,3 +85,21 @@ def test_guarded_notions_do_not_count_as_violations():
     )
     # 3^3 = 27 > 10: the audit is skipped, never reported as a failure
     assert not report.found
+
+
+def test_search_keeps_no_instance_older_than_the_previous_trial(monkeypatch):
+    original = search.generate
+    made = []
+
+    def tracked(config):
+        gc.collect()
+        assert all(ref() is None for ref in made[:-1]), "an old trial's instance is alive"
+        inst = original(config)
+        made.append(weakref.ref(inst))
+        return inst
+
+    monkeypatch.setattr(search, "generate", tracked)
+    config = GeneratorConfig(agents=2, items=6, family="general-identical", seed=5)
+    report = search_counterexamples(config, "leximin++", ("ef1",), trials=6)
+    assert not report.found
+    assert len(made) == 6
