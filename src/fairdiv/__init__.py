@@ -75,6 +75,7 @@ from .model import (
     aversion_view,
     classify_items,
     format_value,
+    parse_pair,
     parse_value,
     require_allocation,
     rescale_common_total,

@@ -188,7 +188,10 @@ def gen(out, **options):
     if out is None:
         click.echo(text, nl=False)
     else:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise FairdivError(f"cannot write {out}: {exc}") from exc
 
 
 @main.command()

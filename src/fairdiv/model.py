@@ -9,6 +9,7 @@ subset manipulation is integer arithmetic.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,28 +33,79 @@ from .errors import (
 Bundle = int
 
 
-def parse_value(text: Union[str, int, Fraction]) -> Fraction:
-    """Parse an exact value from a decimal string ("-18.1"), a ratio
-    string ("3/7") or an integer.
+#: The value grammar, that of ``Fraction(str)`` on Python 3.11: an optional
+#: sign, then an integer, a ratio "p/q", or a decimal with an optional
+#: exponent; digits may be grouped by single underscores, and whitespace
+#: may surround the whole.
+_VALUE = re.compile(
+    r"""
+    \s*(?P<sign>[-+]?)(?=\d|\.\d)
+    (?P<num>\d*|\d+(?:_\d+)*)
+    (?:
+        (?:/(?P<den>\d+(?:_\d+)*))?
+    |
+        (?:\.(?P<decimal>\d*|\d+(?:_\d+)*))?
+        (?:E(?P<exp>[-+]?\d+(?:_\d+)*))?
+    )
+    \s*\Z
+    """,
+    re.VERBOSE | re.IGNORECASE,
+)
 
-    Decimal strings are parsed exactly: "-18.1" becomes -181/10.
+
+def parse_pair(text: Union[str, int, Fraction]) -> tuple[int, int]:
+    """Parse an exact value into its reduced (numerator, denominator), the
+    denominator positive: from a decimal string ("-18.1"), a ratio string
+    ("3/7"), an integer or a ``Fraction``.
+
+    Strings follow the grammar of ``Fraction(str)`` on Python 3.11,
+    whatever the running interpreter: "-18.1" gives (-181, 10), "3/6"
+    gives (1, 2), " 1_000 " gives (1000, 1) and "2.5e-3" gives (1, 400).
+    Anything else, a zero denominator, a float or a bool included, raises
+    ``ValueError``.
     """
-    if isinstance(text, bool):
+    if not isinstance(text, str):
+        if isinstance(text, bool):
+            raise ValueError(f"not a value: {text!r}")
+        if isinstance(text, (int, Fraction)):
+            return text.numerator, text.denominator
+        if isinstance(text, float):
+            raise ValueError("refusing to parse a float; pass a string for exactness")
+    match = _VALUE.match(str(text))
+    if match is None:
         raise ValueError(f"not a value: {text!r}")
-    if isinstance(text, (int, Fraction)):
-        return Fraction(text)
-    if isinstance(text, float):
-        raise ValueError("refusing to parse a float; pass a string for exactness")
-    try:
-        return Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a value: {text!r}") from exc
+    sign, num, den, decimal, exp = match.groups()
+    num = int(num or "0")
+    if den is not None:
+        den = int(den)
+        if den == 0:
+            raise ValueError(f"not a value: {text!r}")
+    else:
+        den = 1
+        if decimal:
+            den = 10 ** len(decimal.replace("_", ""))
+            num = num * den + int(decimal)
+        if exp is not None:
+            exp = int(exp)
+            if exp >= 0:
+                num *= 10**exp
+            else:
+                den *= 10**-exp
+    if sign == "-":
+        num = -num
+    divisor = gcd(num, den)
+    return num // divisor, den // divisor
 
 
-def format_value(x: Fraction) -> str:
-    """Render a value exactly: as a finite decimal when the denominator
-    allows it (only prime factors 2 and 5), otherwise as "p/q"."""
-    den = x.denominator
+def parse_value(text: Union[str, int, Fraction]) -> Fraction:
+    """The exact value :func:`parse_pair` reads: "-18.1" becomes -181/10."""
+    return Fraction(*parse_pair(text))
+
+
+def _decimal_digits(den: int) -> tuple[int, int]:
+    """Split a positive denominator as 2^a * 5^b * rest; returns
+    (max(a, b), rest), so that rest == 1 exactly when the denominator
+    divides 10^max(a, b)."""
     twos = 0
     while den % 2 == 0:
         den //= 2
@@ -62,15 +114,49 @@ def format_value(x: Fraction) -> str:
     while den % 5 == 0:
         den //= 5
         fives += 1
-    if den != 1:
-        return f"{x.numerator}/{x.denominator}"
-    digits = max(twos, fives)
+    return max(twos, fives), den
+
+
+def _decimal(shifted: int, digits: int) -> str:
+    """The value ``shifted / 10^digits`` as a decimal, trailing zeros of
+    the fraction (and a bare point) stripped."""
     if digits == 0:
-        return str(x.numerator)
-    scaled = abs(x.numerator) * 10**digits // x.denominator
-    body = str(scaled).rjust(digits + 1, "0")
-    sign = "-" if x.numerator < 0 else ""
-    return f"{sign}{body[:-digits]}.{body[-digits:]}"
+        return str(shifted)
+    body = str(abs(shifted)).rjust(digits + 1, "0")
+    fraction = body[-digits:].rstrip("0")
+    sign = "-" if shifted < 0 else ""
+    if not fraction:
+        return f"{sign}{body[:-digits]}"
+    return f"{sign}{body[:-digits]}.{fraction}"
+
+
+def _format_pair(num: int, den: int) -> str:
+    """The one rendering rule, for a reduced num/den with den >= 1."""
+    digits, rest = _decimal_digits(den)
+    if rest != 1:
+        return f"{num}/{den}"
+    return _decimal(num * (10**digits // den), digits)
+
+
+def format_value(x: Fraction) -> str:
+    """Render a value exactly: as a finite decimal when the denominator
+    allows it (only prime factors 2 and 5), otherwise as "p/q"."""
+    return _format_pair(x.numerator, x.denominator)
+
+
+def format_table(scaled, scale: int) -> list[str]:
+    """``format_value`` of each ``a / scale`` for ``a`` in ``scaled``,
+    without building a ``Fraction`` per entry.
+
+    When ``scale`` divides a power of ten, 10^d, every entry is rendered
+    from the integer ``a * (10^d / scale)``; otherwise each entry is
+    reduced and rendered on its own.
+    """
+    digits, rest = _decimal_digits(scale)
+    if rest != 1:
+        return [_format_pair(a // (g := gcd(a, scale)), scale // g) for a in scaled]
+    factor = 10**digits // scale
+    return [_decimal(a * factor, digits) for a in scaled]
 
 
 @dataclass(frozen=True)
@@ -122,12 +208,19 @@ class GeneralIdenticalValuation:
     @classmethod
     def of(cls, values) -> "GeneralIdenticalValuation":
         """The table of exact values (``Fraction``s or integers) listed in
-        bundle-bitmask order, keeping only their numerators and
-        denominators while ``values`` is read."""
+        bundle-bitmask order."""
+        return cls.from_pairs((entry.numerator, entry.denominator) for entry in values)
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "GeneralIdenticalValuation":
+        """The table of values given as reduced (numerator, denominator)
+        pairs, denominators positive, listed in bundle-bitmask order. Only
+        the integers are kept while ``pairs`` is read; as each pair is
+        reduced, the lcm of the denominators is the canonical scale."""
         numerators, denominators = [], []
-        for entry in values:
-            numerators.append(entry.numerator)
-            denominators.append(entry.denominator)
+        for a, b in pairs:
+            numerators.append(a)
+            denominators.append(b)
         scale = lcm(*set(denominators))
         return cls(tuple(a * (scale // b) for a, b in zip(numerators, denominators)), scale)
 

@@ -16,10 +16,11 @@ from .model import (
     Allocation,
     GeneralIdenticalValuation,
     Instance,
+    format_table,
     format_value,
+    parse_pair,
     parse_value,
     validate_instance,
-    value,
 )
 
 #: General valuation tables are dense, so the file format caps item count.
@@ -38,7 +39,7 @@ def instance_to_dict(inst: Instance) -> dict:
     else:
         valuation = {
             "type": "general-identical",
-            "table": [format_value(value(inst, 0, mask)) for mask in range(1 << inst.m)],
+            "table": format_table(inst.valuation.scaled, inst.valuation.scale),
         }
     return {
         "agents": inst.agents,
@@ -57,10 +58,10 @@ def _entries(valuation: dict, key: str) -> list:
     return entries
 
 
-def _values(entries):
-    """The exact values of a list of entries, parsed one at a time."""
+def _values(parse, entries):
+    """``parse`` of each entry in turn, a malformed one ending the read."""
     try:
-        yield from map(parse_value, entries)
+        yield from map(parse, entries)
     except ValueError as exc:
         raise InvalidInstance(f"malformed value entry: {exc}") from None
 
@@ -83,7 +84,7 @@ def _parse_instance(data: dict) -> Instance:
         rows = _entries(valuation, "matrix")
         if not all(isinstance(row, list) for row in rows):
             raise InvalidInstance("additive matrix rows must be lists")
-        matrix = tuple(tuple(_values(row)) for row in rows)
+        matrix = tuple(tuple(_values(parse_value, row)) for row in rows)
         model = AdditiveValuation(matrix)
     elif vtype == "general-identical":
         if len(items) > MAX_GENERAL_ITEMS:
@@ -91,7 +92,9 @@ def _parse_instance(data: dict) -> Instance:
                 f"general-identical instances are capped at "
                 f"{MAX_GENERAL_ITEMS} items, got {len(items)}"
             )
-        model = GeneralIdenticalValuation.of(_values(_entries(valuation, "table")))
+        model = GeneralIdenticalValuation.from_pairs(
+            _values(parse_pair, _entries(valuation, "table"))
+        )
     else:
         raise InvalidInstance(f"unknown valuation type {vtype!r}")
     return Instance(agents=agents, items=items, valuation=model)

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from conftest import additive, general
 from test_enumeration import additive_instances
 from fairdiv import (
+    AdditiveValuation,
     Allocation,
     Ef1Witness,
     EfxWitness,
@@ -28,9 +29,11 @@ from fairdiv import (
     check_PO,
     check_PROP,
     check_PROP1,
+    classify_items,
     eliminate_envy_cycles,
     envies,
     fixture_instance,
+    Instance,
     validate_instance,
     value,
 )
@@ -513,6 +516,63 @@ def test_relabelling_agents_keeps_every_verdict(case, data):
         return [res.verdict for _, res in audit(inst, alloc).results]
 
     assert verdicts(additive(rows), relabelled) == verdicts(inst, alloc)
+
+
+def _reverify(inst, alloc, notion, witness, old):
+    """Check a failing witness found with agents relabelled, agent k there
+    being agent ``old[k]`` here, as a violation of ``inst`` under ``alloc``
+    with the same exact values."""
+    masks = alloc.bundles()
+    if notion in ("prop", "prop1"):
+        agent = old[witness.agent]
+        own = value(inst, agent, masks[agent])
+        share = value(inst, agent, inst.full_mask) / inst.agents
+        assert (witness.value, witness.threshold) == (own, share)
+        if notion == "prop1":
+            flips = [value(inst, agent, masks[agent] ^ (1 << k)) for k in range(inst.m)]
+            assert witness.best_adjusted == max([own] + flips)
+            own = witness.best_adjusted
+        assert own < share
+        return
+    i, j = old[witness.i], old[witness.j]
+    own, other = value(inst, i, masks[i]), value(inst, i, masks[j])
+    assert witness.own == own < other
+    goods = classify_items(inst).goods[i]
+    targets = {}  # removing one of j's goods, or copying one of i's chores onto j
+    for k in range(inst.m):
+        if masks[j] >> k & 1 and goods >> k & 1:
+            targets[k] = value(inst, i, masks[j] & ~(1 << k))
+        elif masks[i] >> k & 1 and not goods >> k & 1:
+            targets[k] = value(inst, i, masks[j] | 1 << k)
+    if notion == "ef":
+        assert witness.other == other
+    elif notion == "ef1":
+        assert witness.other == other
+        assert witness.best_target == min(targets.values(), default=None)
+        assert witness.best_target is None or own < witness.best_target
+    elif witness.item is None:
+        assert not targets and witness.adjusted == other
+    else:
+        assert own < witness.adjusted == targets[witness.item]
+
+
+@given(
+    st.one_of(audited(), general_audited().map(lambda case: case[2:])),
+    st.data(),
+)
+def test_relabelling_agents_maps_every_witness_back(case, data):
+    inst, alloc = case
+    order = data.draw(st.permutations(range(inst.agents)))  # new agent k was order[k]
+    valuation = inst.valuation
+    if isinstance(valuation, AdditiveValuation):
+        valuation = AdditiveValuation(tuple(valuation.matrix[old] for old in order))
+    new_label = {old: new for new, old in enumerate(order)}
+    relabelled = Allocation(inst.agents, tuple(new_label[a] for a in alloc.assignment))
+    notions = ("ef", "ef1", "efx", "prop", "prop1")
+    report = audit(Instance(inst.agents, inst.items, valuation), relabelled, notions)
+    for notion, res in report.results:
+        if not res.holds:
+            _reverify(inst, alloc, notion, res.witness, order)
 
 
 @given(audited(), st.data())

@@ -304,6 +304,15 @@ def test_missing_file_and_invalid_json_exit_two(tmp_path):
     assert "not valid JSON" in res.stderr
 
 
+def test_unwritable_gen_out_exits_two(tmp_path):
+    out = tmp_path / "missing" / "inst.json"
+    res = runner.invoke(main, GEN_ARGS + ["--out", str(out)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert f"cannot write {out}" in res.stderr
+    assert not out.exists()
+
+
 def test_malformed_allocation_exits_two(tmp_path):
     inst, instance_path = write_instance(tmp_path, "mnw2")
     path = tmp_path / "alloc.json"
@@ -350,8 +359,27 @@ def test_malformed_bundles_exit_two(tmp_path, bundles):
         {"agents": 1, "items": ["a"], "valuation": {"type": "general-identical"}},
         {"agents": 1, "items": ["a"], "valuation": {"type": "general-identical", "table": None}},
         {"agents": 1, "items": "ab", "valuation": {"type": "additive", "matrix": [["1", "2"]]}},
+        *(
+            {
+                "agents": 1,
+                "items": ["a"],
+                "valuation": {"type": "general-identical", "table": table},
+            }
+            for table in (["0", "1/0"], ["0", 0.5], ["0", True], ["0", "1 /2"])
+        ),
+        {"agents": 1, "items": ["a"], "valuation": {"type": "additive", "matrix": [["1__0"]]}},
     ],
-    ids=["additive-without-matrix", "general-without-table", "null-table", "items-as-string"],
+    ids=[
+        "additive-without-matrix",
+        "general-without-table",
+        "null-table",
+        "items-as-string",
+        "zero-denominator",
+        "float-entry",
+        "bool-entry",
+        "space-before-slash",
+        "double-underscore",
+    ],
 )
 def test_malformed_instance_exits_two(tmp_path, document):
     path = tmp_path / "instance.json"

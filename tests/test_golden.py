@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from fairdiv import instance_from_json, instance_to_json
 from fairdiv.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -41,6 +42,20 @@ INSTANCES = {
     ],
 }
 
+#: Input instances written by hand: file name -> document. The scale of
+#: thirds.json's table, 12, divides no power of ten, so the writer renders
+#: its entries one by one; item o2 is a chore, o1 and o3 are goods.
+DOCUMENTS = {
+    "thirds.json": {
+        "agents": 2,
+        "items": ["o1", "o2", "o3"],
+        "valuation": {
+            "type": "general-identical",
+            "table": ["0", "1/3", "-0.5", "-0.25", "1.25", "2", "1/3", "1.5"],
+        },
+    },
+}
+
 #: Input allocations: file name -> (instance file, assignment). Between
 #: them the audits below fail every notion with every witness shape the
 #: command line can print (an envious pair with no adjustment at all
@@ -57,6 +72,7 @@ ALLOCATIONS = {
     "general-0100.json": ("general.json", (0, 1, 0, 0)),
     "general-0120.json": ("general.json", (0, 1, 2, 0)),
     "rescaled-0112.json": ("rescaled.json", (0, 1, 1, 2)),
+    "thirds-011.json": ("thirds.json", (0, 1, 1)),
     "short.json": ("mixed.json", None),
 }
 
@@ -93,6 +109,7 @@ def _cases() -> dict[str, list[str]]:
     for instance in ("chores.json", "rescaled.json", "mixed.json", "general.json"):
         for method in WELFARE_METHODS:
             cases[f"solve {instance} {method}"] = _solve(instance, method)
+    cases["solve thirds.json leximin++"] = _solve("thirds.json", "leximin++")
     for instance in ("identical.json", "mixed.json", "general.json"):
         cases[f"solve {instance} alg-identical"] = _solve(instance, "alg-identical")
     cases["solve identical.json alg-identical --trace"] = _solve(
@@ -159,6 +176,12 @@ def test_golden_stdout_and_exit_code(name):
     assert _run(CASES[name]) == expected
 
 
+@pytest.mark.parametrize("name", sorted([*INSTANCES, *DOCUMENTS]))
+def test_golden_instances_are_written_back_byte_for_byte(name):
+    text = (GOLDEN / name).read_text()
+    assert instance_to_json(instance_from_json(text)) == text
+
+
 def test_golden_cases_match_the_recording():
     assert sorted(_load_expected()) == sorted(CASES)
 
@@ -187,12 +210,14 @@ def test_golden_audits_cover_every_witness():
 
 def record() -> None:
     """Write the input files and record every case's stdout and exit code."""
-    from fairdiv import Allocation, allocation_to_dict, instance_from_json
+    from fairdiv import Allocation, allocation_to_dict
     from fairdiv.serialize import dumps
 
     GOLDEN.mkdir(exist_ok=True)
     for name, args in INSTANCES.items():
         (GOLDEN / name).write_text(_run(["gen", *args])["stdout"])
+    for name, document in DOCUMENTS.items():
+        (GOLDEN / name).write_text(dumps(document))
     for name, (instance, assignment) in ALLOCATIONS.items():
         inst = instance_from_json((GOLDEN / instance).read_text())
         if assignment is None:  # one bundle short of the agent count

@@ -1,10 +1,11 @@
 """Core model: exact parsing and rendering, validation, classification,
 bundle values, rescaling and the aversion view."""
 
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import additive, general
 from fairdiv import (
@@ -24,11 +25,13 @@ from fairdiv import (
     classify_items,
     fixture_instance,
     format_value,
+    parse_pair,
     parse_value,
     rescale_common_total,
     validate_instance,
     value,
 )
+from fairdiv.model import format_table
 
 
 # ---------------------------------------------------------------- values
@@ -53,6 +56,69 @@ def test_parse_value_rejects(bad):
         parse_value(bad)
 
 
+@pytest.mark.parametrize(
+    "text, pair",
+    [
+        ("0", (0, 1)),
+        ("-0", (0, 1)),
+        ("+5", (5, 1)),
+        ("007", (7, 1)),
+        (" 2.5 ", (5, 2)),
+        ("\t-18.1\n", (-181, 10)),
+        ("3/6", (1, 2)),
+        ("-2/6", (-1, 3)),
+        ("0/5", (0, 1)),
+        (".5", (1, 2)),
+        ("5.", (5, 1)),
+        ("-.25", (-1, 4)),
+        ("1e3", (1000, 1)),
+        ("2.5E-3", (1, 400)),
+        ("+.5e+1", (5, 1)),
+        ("1.e2", (100, 1)),
+        ("1_000", (1000, 1)),
+        ("1_0.2_5", (41, 4)),
+        ("1_0/4_0", (1, 4)),
+        ("1e1_0", (10**10, 1)),
+        ("\u0663", (3, 1)),
+        ("\u0661/\u0663", (1, 3)),
+        ("12345678901234567890123/10", (12345678901234567890123, 10)),
+    ],
+)
+def test_parse_pair_reads_the_grammar_reduced(text, pair):
+    assert parse_pair(text) == pair
+    assert parse_value(text) == Fraction(*pair)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "", " ", "-", "+", ".", "abc", "1/0", "0/0", "1 /2", "1/ 2", "1/-2", "1/+2",
+        "1/2.5", "1/2e3", "1.5/2", "_1", "1_", "1__0", "1._5", "1_.5", "1e", "e5",
+        "1e_5", "+-1", "--1", "1 2", "1,5", "0x10", "inf", "nan", "\u00bd", "\u00b2",
+    ],
+)
+def test_parse_pair_rejects_outside_the_grammar(bad):
+    with pytest.raises(ValueError):
+        parse_pair(bad)
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="Fraction(str) is the grammar's oracle on Python 3.11 only: 3.10's "
+    "rejects underscores and 3.12's allows spaces around the slash",
+)
+@settings(max_examples=500)
+@given(st.text(alphabet="0123456789_./eE+- \u0663", max_size=8))
+def test_parse_pair_accepts_what_fraction_accepts(text):
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError):
+            parse_pair(text)
+    else:
+        assert parse_pair(text) == (expected.numerator, expected.denominator)
+
+
 def test_format_value_decimal_when_finite():
     assert format_value(Fraction(-181, 10)) == "-18.1"
     assert format_value(Fraction(3)) == "3"
@@ -75,6 +141,32 @@ def test_format_value_ratio_otherwise():
 def test_format_parse_round_trip(num, den):
     x = Fraction(num, den)
     assert parse_value(format_value(x)) == x
+
+
+#: Scales dividing a power of ten, then scales with another prime factor,
+#: whose entries are rendered one by one.
+SCALES = [1, 2, 5, 8, 125, 2**3 * 5**2, 2**10 * 5**7, 10**6, 3, 3 * 2, 3 * 2**4, 7 * 5**2]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_format_table_matches_format_value_entry_by_entry(scale):
+    entries = [
+        0, 1, -1, 3, -7, scale, -scale, 10 * scale, -20 * scale, 100 * scale + 5,
+        2**64 + 1, -(2**70 + 3), 3**50, 10**25, -(10**30) * scale,
+    ]
+    assert format_table(entries, scale) == [format_value(Fraction(a, scale)) for a in entries]
+
+
+@given(
+    entries=st.lists(st.integers(-(2**80), 2**80), max_size=16),
+    scale=st.one_of(
+        st.sampled_from(SCALES),
+        st.builds(lambda k, j: 2**k * 5**j, st.integers(0, 30), st.integers(0, 30)),
+        st.integers(1, 10**6),
+    ),
+)
+def test_format_table_is_format_value_of_each_entry(entries, scale):
+    assert format_table(entries, scale) == [format_value(Fraction(a, scale)) for a in entries]
 
 
 # ------------------------------------------------------------ structure
