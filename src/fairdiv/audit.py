@@ -42,7 +42,7 @@ from .model import (
     classify_items,
     format_value,
     require_allocation,
-    value,
+    scaled_value,
 )
 
 GOOD_REMOVAL = "good-removal"
@@ -179,14 +179,19 @@ class CheckResult:
         return self.verdict is Verdict.HOLDS
 
 
+def _exact(inst: Instance, *scaled):
+    """Scaled values as exact ``Fraction``s for a witness, None kept."""
+    return (None if a is None else Fraction(a, inst.valuation.scale) for a in scaled)
+
+
 def _envious_pairs(inst: Instance, masks):
-    """Yield (i, j, v_i(A_i), v_i(A_j)) for every pair in which agent i
-    envies agent j, in ascending (i, j) order."""
+    """Yield (i, j, v_i(A_i), v_i(A_j)), values scaled, for every pair in
+    which agent i envies agent j, in ascending (i, j) order."""
     for i in range(inst.agents):
-        own = value(inst, i, masks[i])
+        own = scaled_value(inst, i, masks[i])
         for j in range(inst.agents):
             if j != i:
-                other = value(inst, i, masks[j])
+                other = scaled_value(inst, i, masks[j])
                 if own < other:
                     yield i, j, own, other
 
@@ -195,33 +200,32 @@ def envies(inst: Instance, alloc: Allocation, i: int, j: int) -> bool:
     """True iff agent i strictly prefers agent j's bundle to her own."""
     require_allocation(inst, alloc)
     bundles = alloc.bundles()
-    return value(inst, i, bundles[i]) < value(inst, i, bundles[j])
+    return scaled_value(inst, i, bundles[i]) < scaled_value(inst, i, bundles[j])
 
 
 def check_EF(inst: Instance, alloc: Allocation) -> CheckResult:
     """Envy-freeness: no agent strictly prefers another agent's bundle."""
     require_allocation(inst, alloc)
-    pair = next(_envious_pairs(inst, alloc.bundles()), None)
-    if pair is None:
-        return CheckResult(Verdict.HOLDS)
-    return CheckResult(Verdict.FAILS, EnvyWitness(*pair))
+    for i, j, own, other in _envious_pairs(inst, alloc.bundles()):
+        return CheckResult(Verdict.FAILS, EnvyWitness(i, j, *_exact(inst, own, other)))
+    return CheckResult(Verdict.HOLDS)
 
 
 def _adjusted_targets(inst, cls, bundles, i, j):
     """Adjusted values of j's bundle for i, per single-item adjustment.
 
-    Yields (item, side, adjusted value) for removing each of j's goods
-    and for copying each of i's chores onto j's bundle, in ascending item
-    order.
+    Yields (item, side, scaled adjusted value) for removing each of j's
+    goods and for copying each of i's chores onto j's bundle, in ascending
+    item order.
     """
     removable = bundles[j] & cls.goods[i]
     copyable = bundles[i] & cls.chores[i]
     for item in range(inst.m):
         bit = 1 << item
         if removable & bit:
-            yield item, GOOD_REMOVAL, value(inst, i, bundles[j] & ~bit)
+            yield item, GOOD_REMOVAL, scaled_value(inst, i, bundles[j] & ~bit)
         elif copyable & bit:
-            yield item, CHORE_COPY, value(inst, i, bundles[j] | bit)
+            yield item, CHORE_COPY, scaled_value(inst, i, bundles[j] | bit)
 
 
 def check_EFX(inst: Instance, alloc: Allocation) -> CheckResult:
@@ -239,13 +243,11 @@ def check_EFX(inst: Instance, alloc: Allocation) -> CheckResult:
         for item, side, adjusted in _adjusted_targets(inst, cls, bundles, i, j):
             vacuous = False
             if own < adjusted:
-                return CheckResult(
-                    Verdict.FAILS, EfxWitness(i, j, item, side, own, adjusted)
-                )
+                witness = EfxWitness(i, j, item, side, *_exact(inst, own, adjusted))
+                return CheckResult(Verdict.FAILS, witness)
         if vacuous:
-            return CheckResult(
-                Verdict.FAILS, EfxWitness(i, j, None, NO_ADJUSTMENT, own, other)
-            )
+            witness = EfxWitness(i, j, None, NO_ADJUSTMENT, *_exact(inst, own, other))
+            return CheckResult(Verdict.FAILS, witness)
     return CheckResult(Verdict.HOLDS)
 
 
@@ -262,13 +264,8 @@ def check_EF1(inst: Instance, alloc: Allocation) -> CheckResult:
             default=None,
         )
         if best is None or own < best:
-            return CheckResult(Verdict.FAILS, Ef1Witness(i, j, own, other, best))
+            return CheckResult(Verdict.FAILS, Ef1Witness(i, j, *_exact(inst, own, other, best)))
     return CheckResult(Verdict.HOLDS)
-
-
-def _proportional_share(inst: Instance, agent: int) -> Fraction:
-    """v_i(M) / n: the value each agent must reach under PROP."""
-    return value(inst, agent, inst.full_mask) / inst.agents
 
 
 def check_PROP(inst: Instance, alloc: Allocation) -> CheckResult:
@@ -277,10 +274,11 @@ def check_PROP(inst: Instance, alloc: Allocation) -> CheckResult:
     require_allocation(inst, alloc)
     bundles = alloc.bundles()
     for i in range(inst.agents):
-        threshold = _proportional_share(inst, i)
-        own = value(inst, i, bundles[i])
-        if own < threshold:
-            return CheckResult(Verdict.FAILS, PropWitness(i, own, threshold))
+        total = scaled_value(inst, i, inst.full_mask)
+        own = scaled_value(inst, i, bundles[i])
+        if own * inst.agents < total:
+            own, total = _exact(inst, own, total)
+            return CheckResult(Verdict.FAILS, PropWitness(i, own, total / inst.agents))
     return CheckResult(Verdict.HOLDS)
 
 
@@ -292,17 +290,18 @@ def check_PROP1(inst: Instance, alloc: Allocation) -> CheckResult:
     require_allocation(inst, alloc)
     bundles = alloc.bundles()
     for i in range(inst.agents):
-        threshold = _proportional_share(inst, i)
+        total = scaled_value(inst, i, inst.full_mask)
         mask = bundles[i]
-        own = value(inst, i, mask)
+        own = scaled_value(inst, i, mask)
         best = own
         for item in range(inst.m):
             bit = 1 << item
-            adjusted = value(inst, i, mask ^ bit)
+            adjusted = scaled_value(inst, i, mask ^ bit)
             if adjusted > best:
                 best = adjusted
-        if best < threshold:
-            return CheckResult(Verdict.FAILS, Prop1Witness(i, own, best, threshold))
+        if best * inst.agents < total:
+            own, best, total = _exact(inst, own, best, total)
+            return CheckResult(Verdict.FAILS, Prop1Witness(i, own, best, total / inst.agents))
     return CheckResult(Verdict.HOLDS)
 
 
@@ -338,6 +337,13 @@ _CHECKS = {
 
 #: Canonical notion order used by reports and the command line.
 NOTIONS = tuple(_CHECKS)
+
+
+def require_notions(notions) -> None:
+    """Raise ``ValueError`` on the first name that is not a notion."""
+    for notion in notions:
+        if notion not in _CHECKS:
+            raise ValueError(f"unknown notion {notion!r}")
 
 
 @dataclass(frozen=True)
@@ -378,21 +384,20 @@ def audit(
 ) -> FairnessReport:
     """Run the requested checks and collect one verdict per notion.
 
-    A check whose search space exceeds the cap is reported as
-    not-applicable rather than aborting the whole audit.
+    An unknown notion raises ``ValueError`` before any check runs. A check
+    whose search space exceeds the cap is reported as not-applicable
+    rather than aborting the whole audit.
     """
     require_allocation(inst, alloc)
+    notions = tuple(notions)
+    require_notions(notions)
     results = []
     for notion in notions:
         try:
-            checker = _CHECKS[notion]
-        except KeyError:
-            raise ValueError(f"unknown notion {notion!r}") from None
-        try:
             if notion == "po":
-                res = checker(inst, alloc, max_space)
+                res = _CHECKS[notion](inst, alloc, max_space)
             else:
-                res = checker(inst, alloc)
+                res = _CHECKS[notion](inst, alloc)
         except SearchSpaceTooLarge as exc:
             res = CheckResult(
                 Verdict.NOT_APPLICABLE, GuardWitness(exc.size, exc.limit)

@@ -27,13 +27,11 @@ otherwise the same code runs on ``dtype=object`` arrays of Python integers.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
 
 import numpy as np
 
 from .errors import SearchSpaceTooLarge
-from .model import AdditiveValuation, Instance, scaled_table, value
+from .model import AdditiveValuation, Instance, scaled_table, scaled_value, value
 
 #: Default cap on the number of allocations an exhaustive operation may visit.
 DEFAULT_MAX_SPACE = 10_000_000
@@ -73,33 +71,19 @@ def assignment_index(n: int, assignment) -> int:
     return index
 
 
-@lru_cache(maxsize=32)
+# No code in fairdiv calls this or :func:`scaled_value_tables`. Both stay
+# only because perfbench/spans.py binds them by name; delete them with that.
 def exact_value_tables(inst: Instance) -> tuple[tuple[Fraction, ...], ...]:
     """Per-agent tables of all 2^m exact bundle values."""
     masks = range(1 << inst.m)
     return tuple(tuple(value(inst, i, mask) for mask in masks) for i in range(inst.agents))
 
 
-def value_scale(inst: Instance) -> int:
-    """The least common multiple of every denominator of an additive
-    instance."""
-    return lcm(*{entry.denominator for row in inst.valuation.matrix for entry in row})
-
-
-@lru_cache(maxsize=32)
 def scaled_value_tables(inst: Instance) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Integer bundle-value tables under one common positive scale.
-
-    Every exact value is multiplied by the least common multiple of all
-    denominators in the instance, so comparisons between any two scaled
-    values, including across agents, agree with the exact comparisons.
-    Returns (tables, scale).
-    """
-    if isinstance(inst.valuation, AdditiveValuation):
-        scale = value_scale(inst)
-        tables = exact_value_tables(inst)
-        return tuple(tuple(int(entry * scale) for entry in table) for table in tables), scale
-    return (inst.valuation.scaled,) * inst.agents, inst.valuation.scale
+    """(Per-agent tables of all 2^m :func:`model.scaled_value` integers, scale)."""
+    masks = range(1 << inst.m)
+    tables = tuple(tuple(scaled_value(inst, i, s) for s in masks) for i in range(inst.agents))
+    return tables, inst.valuation.scale
 
 
 def contribution_matrix(
@@ -119,10 +103,9 @@ def contribution_matrix(
     if extra is None:
         extra = [[0] * m for _ in range(n)]
     if isinstance(inst.valuation, AdditiveValuation):
-        scale = value_scale(inst)
         contributions = [
-            [int(value * scale) * weight + add for value, add in zip(row, adds)]
-            for row, adds in zip(inst.valuation.matrix, extra)
+            [entry * weight + add for entry, add in zip(row, adds)]
+            for row, adds in zip(inst.valuation.scaled, extra)
         ]
         lookup = None
         bound = 0
@@ -164,8 +147,8 @@ class AllocationRows:
     order.
 
     Entry i of an allocation's row is ``weight * v_i(A_i)`` plus the sum
-    of ``extra[i][j]`` over the items j in A_i, with v_i the scaled bundle
-    value of :func:`scaled_value_tables`; see :func:`contribution_matrix`.
+    of ``extra[i][j]`` over the items j in A_i, with v_i the bundle value
+    of :func:`model.scaled_value`; see :func:`contribution_matrix`.
     """
 
     def __init__(self, inst: Instance, weight: int = 1, extra=None):

@@ -26,22 +26,22 @@ class TraceStep:
     utilities: tuple[Fraction, ...]
 
 
-def _identical_row(inst: Instance) -> tuple[Fraction, ...]:
+def _identical_row(inst: Instance) -> tuple[int, ...]:
     if not isinstance(inst.valuation, AdditiveValuation):
         raise NotAdditive("the greedy allocator requires an additive instance")
-    matrix = inst.valuation.matrix
-    for i, row in enumerate(matrix[1:], start=1):
-        if row != matrix[0]:
+    scaled = inst.valuation.scaled
+    for i, row in enumerate(scaled[1:], start=1):
+        if row != scaled[0]:
             raise NotIdentical(i)
-    return matrix[0]
+    return scaled[0]
 
 
 def alg_identical_trace(inst: Instance) -> tuple[TraceStep, ...]:
     """Run the greedy allocator and record every step."""
     row = _identical_row(inst)
-    n = inst.agents
+    n, scale = inst.agents, inst.valuation.scale
     order = sorted(range(inst.m), key=lambda j: (-abs(row[j]), j))
-    utilities = [Fraction(0)] * n
+    utilities = [0] * n
     trace = []
     for item in order:
         if row[item] >= 0:
@@ -49,7 +49,7 @@ def alg_identical_trace(inst: Instance) -> tuple[TraceStep, ...]:
         else:
             agent = min(range(n), key=lambda k: (-utilities[k], k))
         utilities[agent] += row[item]
-        trace.append(TraceStep(item, agent, tuple(utilities)))
+        trace.append(TraceStep(item, agent, tuple(Fraction(u, scale) for u in utilities)))
     return tuple(trace)
 
 

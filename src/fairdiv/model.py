@@ -1,10 +1,11 @@
 """Core data model: exact values, valuations, instances and allocations.
 
 All arithmetic is exact and no floating point enters any computation.
-Additive entries and bundle values are ``fractions.Fraction``s; a general
-table is stored once, as integers over one positive scale. Bundles are
-bitmasks over item indices (bit j set means item j is in the bundle), so
-subset manipulation is integer arithmetic.
+Both valuation kinds hold their values as integers over one positive
+scale, ``scaled`` and ``scale``, compared through :func:`scaled_value`;
+:func:`value` builds the ``Fraction``. Bundles are bitmasks over item
+indices (bit j set means item j is in the bundle), so subset manipulation
+is integer arithmetic.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Union
 
@@ -164,7 +165,8 @@ class AdditiveValuation:
     """Per-agent additive valuations: an n x m matrix of exact values.
 
     The value of a bundle to agent i is the sum of agent i's entries over
-    the bundle's items.
+    the bundle's items. :attr:`scaled` is the same matrix as integers
+    over :attr:`scale`, the least common multiple of the denominators.
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
@@ -178,6 +180,15 @@ class AdditiveValuation:
         for row in self.matrix:
             if len(row) != width:
                 raise InvalidInstance("additive valuation rows differ in length")
+
+    @cached_property
+    def scale(self) -> int:
+        return lcm(*{entry.denominator for row in self.matrix for entry in row})
+
+    @cached_property
+    def scaled(self) -> tuple[tuple[int, ...], ...]:
+        scale = self.scale
+        return tuple(tuple(e.numerator * scale // e.denominator for e in row) for row in self.matrix)
 
 
 @dataclass(frozen=True)
@@ -484,18 +495,23 @@ def classify_items(inst: Instance) -> ItemClassification:
     )
 
 
-def value(inst: Instance, agent: int, bundle: Bundle) -> Fraction:
-    """Exact value of a bundle (bitmask) to an agent."""
+def scaled_value(inst: Instance, agent: int, bundle: Bundle) -> int:
+    """A bundle's (bitmask's) value to an agent times the valuation's scale."""
     if isinstance(inst.valuation, GeneralIdenticalValuation):
-        return Fraction(inst.valuation.scaled[bundle], inst.valuation.scale)
-    row = inst.valuation.matrix[agent]
-    total = Fraction(0)
+        return inst.valuation.scaled[bundle]
+    row = inst.valuation.scaled[agent]
+    total = 0
     rest = bundle
     while rest:
         j = (rest & -rest).bit_length() - 1
         total += row[j]
         rest &= rest - 1
     return total
+
+
+def value(inst: Instance, agent: int, bundle: Bundle) -> Fraction:
+    """Exact value of a bundle (bitmask) to an agent."""
+    return Fraction(scaled_value(inst, agent, bundle), inst.valuation.scale)
 
 
 def rescale_common_total(inst: Instance, total: Fraction) -> Instance:

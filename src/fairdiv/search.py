@@ -14,9 +14,9 @@ import random
 from dataclasses import dataclass, replace
 from itertools import chain
 
-from .audit import CheckResult, Verdict, audit
+from .audit import CheckResult, Verdict, audit, require_notions
 from .generators import GeneratorConfig, generate
-from .methods import solve_with_method
+from .methods import require_method, solve_with_method
 from .model import Allocation, Instance
 from .serialize import allocation_to_dict, instance_to_dict
 
@@ -78,13 +78,16 @@ def search_counterexamples(
     """Audit ``method`` over ``trials`` generated instances.
 
     ``extra_instances`` are run first, before the random stream, and do
-    not count against ``trials``, which must not be negative. Notions
+    not count against ``trials``, which must not be negative. An unknown
+    method or notion raises ``ValueError`` before the first trial. Notions
     whose check exceeds the search cap are reported as not-applicable by
     the audit and never counted as violations.
     """
     if trials < 0:
         raise ValueError(f"trials cannot be negative, got {trials}")
     notions = tuple(notions)
+    require_method(method)
+    require_notions(notions)
     rng = random.Random(config.seed)
     trial_seeds = [rng.randrange(2**63) for _ in range(trials)]
     stream = chain(

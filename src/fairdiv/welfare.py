@@ -37,6 +37,7 @@ from .model import (
     SolveResult,
     aversion_view,
     require_allocation,
+    scaled_value,
     value,
 )
 
@@ -59,10 +60,11 @@ def _score(factors) -> WelfareScore:
 def nash_prime_factors(inst: Instance, alloc: Allocation) -> tuple[Fraction, ...]:
     """Per-agent spared aversion u_i(M) - u_i(A_i), which for chores-only
     values equals v_i(A_i) - v_i(M)."""
-    avers = aversion_view(inst)
+    aversion_view(inst)  # rejects all but chores-only additive instances
     require_allocation(inst, alloc)
+    scale = inst.valuation.scale
     return tuple(
-        value(avers, i, avers.full_mask) - value(avers, i, mask)
+        Fraction(scaled_value(inst, i, mask) - scaled_value(inst, i, inst.full_mask), scale)
         for i, mask in enumerate(alloc.bundles())
     )
 
@@ -203,7 +205,7 @@ def constrained_mnw_solve(inst: Instance, max_space: int | None = None) -> Solve
     also gives the tie count. Ties break toward the first optimum in
     canonical enumeration order.
     """
-    avers = aversion_view(inst)
+    aversion_view(inst)  # rejects all but chores-only additive instances
     guard_search_space(inst.agents, inst.m, max_space)
     contributions, _lookup = contribution_matrix(inst)
     vectors, counts, firsts = _pareto_frontier(contributions)
@@ -214,5 +216,5 @@ def constrained_mnw_solve(inst: Instance, max_space: int | None = None) -> Solve
         inst,
         int(firsts[hits].min()),
         int(counts[hits].sum()),
-        lambda alloc: tuple(value(avers, i, mask) for i, mask in enumerate(alloc.bundles())),
+        lambda alloc: tuple(-value(inst, i, mask) for i, mask in enumerate(alloc.bundles())),
     )

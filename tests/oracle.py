@@ -1,11 +1,18 @@
-"""Reference implementations of every exhaustive operation.
+"""Reference implementations of every exhaustive operation and of the
+five value checks.
 
 Plain scalar loops over all n^m assignments in canonical order, and over
 all m * 2^(m-1) marginals of a general table, on exact ``Fraction``
 values. The vectorized enumeration kernel must agree with them on the
 allocation, the tie count, the canonical-first tie-break and the Pareto
 witness; the integer marginal pass behind ``validate_instance`` and
-``classify_items`` must agree on every error, witness and item split.
+``classify_items`` must agree on every error, witness and item split; the
+integer EF, EF1, EFX, PROP and PROP1 checks must agree on every verdict
+and witness.
+
+Every value here comes from :func:`exact_tables`, which sums the additive
+matrix's ``Fraction`` entries or reads :func:`general_table`, so the
+reference never shares the code under test's scale or ``value()``.
 """
 
 from __future__ import annotations
@@ -17,17 +24,38 @@ from math import prod
 from fairdiv import (
     AdditiveValuation,
     Allocation,
+    CheckResult,
+    Ef1Witness,
+    EfxWitness,
+    EnvyWitness,
     ItemClassification,
     MixedMonotonicity,
     NonzeroEmptySet,
     ObjectiveSpec,
+    Prop1Witness,
+    PropWitness,
+    Verdict,
 )
-from fairdiv.enumeration import exact_value_tables
+from fairdiv.audit import CHORE_COPY, GOOD_REMOVAL, NO_ADJUSTMENT
 
 
 def general_table(valuation):
     """A general table's exact values, in bundle-bitmask order."""
     return [Fraction(entry, valuation.scale) for entry in valuation.scaled]
+
+
+def exact_tables(inst):
+    """Per-agent exact values of all 2^m bundles: sums of the additive
+    matrix's entries, or the general table shared by every agent."""
+    if not isinstance(inst.valuation, AdditiveValuation):
+        return [general_table(inst.valuation)] * inst.agents
+    return [
+        [
+            sum((row[j] for j in range(inst.m) if mask >> j & 1), Fraction(0))
+            for mask in range(1 << inst.m)
+        ]
+        for row in inst.valuation.matrix
+    ]
 
 
 def validate_instance(inst):
@@ -111,7 +139,7 @@ def _solver_key_fn(inst, spec):
             return tuple(sorted(tuple(fn(inst, i, masks[i])) for i in range(n)))
 
         return key
-    tables = exact_value_tables(inst)
+    tables = exact_tables(inst)
     cls = classify_items(inst)
 
     def key(assignment):
@@ -162,7 +190,7 @@ def _nash_score(factors):
 def mnw_prime(inst):
     """(assignment, tie count) of the first modified-Nash optimum."""
     n = inst.agents
-    tables = exact_value_tables(inst)
+    tables = exact_tables(inst)
     totals = [tables[i][inst.full_mask] for i in range(n)]
 
     def score(assignment):
@@ -175,7 +203,7 @@ def mnw_prime(inst):
 def _utilities(inst):
     """Canonical index -> exact utility vector, for every assignment."""
     n = inst.agents
-    tables = exact_value_tables(inst)
+    tables = exact_tables(inst)
     for assignment in assignments(n, inst.m):
         masks = bundle_masks(assignment, n)
         yield assignment, tuple(tables[i][masks[i]] for i in range(n))
@@ -213,9 +241,104 @@ def constrained_mnw(inst):
 
 def po_witness(inst, alloc):
     """The canonical-first Pareto improvement, or None."""
-    tables = exact_value_tables(inst)
+    tables = exact_tables(inst)
     base = tuple(tables[i][mask] for i, mask in enumerate(alloc.bundles()))
     for assignment, vector in _utilities(inst):
         if _dominates(vector, base):
             return Allocation(inst.agents, assignment)
     return None
+
+
+# ------------------------------------------------------------ value checks
+# The conventions of fairdiv.audit's module docstring, one scan each:
+# agents, then counterpart agents, then items, in ascending order.
+
+
+def _envious(inst, tables, masks):
+    """(i, j, v_i(A_i), v_i(A_j)) for every envious pair, in order."""
+    return [
+        (i, j, tables[i][masks[i]], tables[i][masks[j]])
+        for i in range(inst.agents)
+        for j in range(inst.agents)
+        if j != i and tables[i][masks[i]] < tables[i][masks[j]]
+    ]
+
+
+def _adjustments(inst, tables, masks, i, j):
+    """(item, side, v_i of j's adjusted bundle) for removing each of j's
+    goods and copying each of i's chores, goods and chores as i sees them."""
+    cls = classify_items(inst)
+    out = []
+    for item in range(inst.m):
+        bit = 1 << item
+        if masks[j] & bit and cls.goods[i] & bit:
+            out.append((item, GOOD_REMOVAL, tables[i][masks[j] & ~bit]))
+        elif masks[i] & bit and cls.chores[i] & bit:
+            out.append((item, CHORE_COPY, tables[i][masks[j] | bit]))
+    return out
+
+
+def check_EF(inst, alloc):
+    tables, masks = exact_tables(inst), alloc.bundles()
+    pairs = _envious(inst, tables, masks)
+    if not pairs:
+        return CheckResult(Verdict.HOLDS)
+    return CheckResult(Verdict.FAILS, EnvyWitness(*pairs[0]))
+
+
+def check_EFX(inst, alloc):
+    tables, masks = exact_tables(inst), alloc.bundles()
+    for i, j, own, other in _envious(inst, tables, masks):
+        adjustments = _adjustments(inst, tables, masks, i, j)
+        if not adjustments:
+            return CheckResult(
+                Verdict.FAILS, EfxWitness(i, j, None, NO_ADJUSTMENT, own, other)
+            )
+        for item, side, adjusted in adjustments:
+            if own < adjusted:
+                return CheckResult(
+                    Verdict.FAILS, EfxWitness(i, j, item, side, own, adjusted)
+                )
+    return CheckResult(Verdict.HOLDS)
+
+
+def check_EF1(inst, alloc):
+    tables, masks = exact_tables(inst), alloc.bundles()
+    for i, j, own, other in _envious(inst, tables, masks):
+        adjusted = [value for _, _, value in _adjustments(inst, tables, masks, i, j)]
+        if not any(own >= value for value in adjusted):
+            best = min(adjusted) if adjusted else None
+            return CheckResult(Verdict.FAILS, Ef1Witness(i, j, own, other, best))
+    return CheckResult(Verdict.HOLDS)
+
+
+def check_PROP(inst, alloc):
+    tables, masks = exact_tables(inst), alloc.bundles()
+    for i in range(inst.agents):
+        share = tables[i][inst.full_mask] / inst.agents
+        own = tables[i][masks[i]]
+        if own < share:
+            return CheckResult(Verdict.FAILS, PropWitness(i, own, share))
+    return CheckResult(Verdict.HOLDS)
+
+
+def check_PROP1(inst, alloc):
+    tables, masks = exact_tables(inst), alloc.bundles()
+    for i in range(inst.agents):
+        share = tables[i][inst.full_mask] / inst.agents
+        own = tables[i][masks[i]]
+        added = [tables[i][masks[i] | 1 << k] for k in range(inst.m) if not masks[i] >> k & 1]
+        removed = [tables[i][masks[i] & ~(1 << k)] for k in range(inst.m) if masks[i] >> k & 1]
+        best = max([own, *added, *removed])
+        if best < share:
+            return CheckResult(Verdict.FAILS, Prop1Witness(i, own, best, share))
+    return CheckResult(Verdict.HOLDS)
+
+
+VALUE_CHECKS = {
+    "ef": check_EF,
+    "ef1": check_EF1,
+    "efx": check_EFX,
+    "prop": check_PROP,
+    "prop1": check_PROP1,
+}

@@ -6,8 +6,9 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import oracle
 from conftest import additive, general
 from test_enumeration import additive_instances
 from fairdiv import (
@@ -37,7 +38,7 @@ from fairdiv import (
     validate_instance,
     value,
 )
-from fairdiv.audit import NO_ADJUSTMENT
+from fairdiv.audit import _CHECKS, NO_ADJUSTMENT
 
 TABLE1 = fixture_instance("table1")
 CIRCLED1 = Allocation(5, (0, 0, 0, 1, 2, 3, 4))
@@ -279,6 +280,14 @@ def test_audit_rejects_unknown_notion():
         audit(MNW2, CIRCLED2, ("ef", "bogus"))
 
 
+def test_audit_rejects_unknown_notion_before_any_check(monkeypatch):
+    calls = []
+    monkeypatch.setitem(_CHECKS, "ef", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="bogus"):
+        audit(MNW2, CIRCLED2, ("ef", "bogus"))
+    assert calls == []
+
+
 def test_implication_chains():
     # EF implies EFX implies EF1; PROP implies PROP1; additive EF implies PROP
     rng = random.Random(11)
@@ -309,18 +318,19 @@ def test_checks_work_on_general_valuations():
 
 
 @st.composite
-def general_audited(draw):
+def general_audited(draw, denominators=(4, 5, 12, 2**70 + 1)):
     """A general table kept as ``Fraction``s, its item weights, the
     instance built from it and one allocation.
 
     Each bundle is worth its items' nonzero integer weights plus a bump of
-    at most 1/4, whose denominator may be 2^70 + 1; a bump moves a marginal
-    by at most 1/2, so every item keeps its weight's sign.
+    at most 1/4, whose denominator is one of ``denominators`` (each at
+    least 4); a bump moves a marginal by at most 1/2, so every item keeps
+    its weight's sign.
     """
     m = draw(st.integers(1, 5))
     n = draw(st.integers(1, 3))
     weights = draw(st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=m, max_size=m))
-    bumps = st.builds(Fraction, st.integers(-1, 1), st.sampled_from((4, 5, 12, 2**70 + 1)))
+    bumps = st.builds(Fraction, st.integers(-1, 1), st.sampled_from(denominators))
     table = [Fraction(0)]
     for mask in range(1, 1 << m):
         table.append(sum(w for j, w in enumerate(weights) if mask >> j & 1) + draw(bumps))
@@ -470,9 +480,9 @@ def test_witness_rendering():
 # ------------------------------------------------------------ metamorphic
 
 @st.composite
-def audited(draw):
+def audited(draw, instances=additive_instances()):
     """An additive instance with n <= 4, m <= 6 and one of its allocations."""
-    inst = draw(additive_instances())
+    inst = draw(instances)
     owners = st.integers(0, inst.agents - 1)
     assignment = draw(st.lists(owners, min_size=inst.m, max_size=inst.m))
     return inst, Allocation(inst.agents, tuple(assignment))
@@ -601,3 +611,26 @@ def test_envy_graph_is_the_envy_relation(case):
         assert (res.witness.i, res.witness.j) == edges[0]
     else:
         assert res.holds
+
+
+# ------------------------------------------------------- Fraction oracle
+
+VALUE_CASES = st.one_of(
+    audited(),  # mixed signs, denominators 1-3, m = 0 and n = 1 included
+    audited(additive_instances(low=-3, high=0)),  # chores only
+    general_audited((4, 5, 12, 2**70 + 1, 10**20 + 39)).map(lambda case: case[2:]),
+)
+
+
+@settings(max_examples=300)
+@given(VALUE_CASES)
+@example((additive([(), ()]), Allocation(2, ())))
+@example((additive([(-1, 2, Fraction(-1, 3))]), Allocation(1, (0, 0, 0))))
+@example((general(1, (0, Fraction(-1, 10**20 + 39))), Allocation(1, (0,))))
+def test_value_checks_match_the_fraction_oracle(case):
+    inst, alloc = case
+    for notion, reference in oracle.VALUE_CHECKS.items():
+        expected = reference(inst, alloc)
+        (got,) = (res for _, res in audit(inst, alloc, (notion,)).results)
+        assert got == expected
+        assert repr(got) == repr(expected)  # the same types, Fractions included

@@ -126,7 +126,7 @@ def assert_frontier_matches(inst):
     vectors, counts, firsts = _pareto_frontier(contributions)
     assert vectors.dtype == contributions.dtype
     n, m = inst.agents, inst.m
-    scale = enumeration.value_scale(inst)
+    scale = inst.valuation.scale
     front = {
         tuple(Fraction(entry, scale) for entry in vector): (
             assignment_at(n, m, first),

@@ -103,3 +103,27 @@ def test_search_keeps_no_instance_older_than_the_previous_trial(monkeypatch):
     report = search_counterexamples(config, "leximin++", ("ef1",), trials=6)
     assert not report.found
     assert len(made) == 6
+
+
+@pytest.mark.parametrize(
+    "method, notions, trials",
+    [
+        ("no-such-method", ("bogus",), 0),
+        ("no-such-method", ("ef",), 5),
+        ("leximin", ("ef", "bogus"), 5),
+    ],
+)
+def test_unknown_method_or_notion_is_rejected_before_any_solve(
+    monkeypatch, method, notions, trials
+):
+    original = search.solve_with_method
+    solves = []
+
+    def counting(*args):
+        solves.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(search, "solve_with_method", counting)
+    with pytest.raises(ValueError, match="unknown"):
+        search_counterexamples(chores_cfg(), method, notions, trials)
+    assert solves == []
