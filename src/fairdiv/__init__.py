@@ -78,6 +78,7 @@ from .model import (
     parse_pair,
     parse_value,
     require_allocation,
+    require_chores_only,
     rescale_common_total,
     validate_instance,
     value,

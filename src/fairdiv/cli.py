@@ -18,7 +18,7 @@ from .fixtures import FIXTURE_NAMES, run_fixture
 from .generators import FAMILIES, GeneratorConfig, generate
 from .greedy import alg_identical_trace, greedy_result
 from .methods import METHODS, solve_with_method
-from .model import format_value, parse_value
+from .model import format_value
 from .search import search_counterexamples
 from .serialize import (
     allocation_from_json,
@@ -145,8 +145,7 @@ def audit_command(instance_path, allocation_path, notions, max_space):
 
 
 def _generator_options(fn):
-    """:class:`GeneratorConfig`'s fields as options of the same names and
-    defaults; :func:`_config` parses the value bounds, which arrive as text."""
+    """:class:`GeneratorConfig`'s fields as options of the same names and defaults."""
     options = [
         click.option("--family", required=True, type=click.Choice(FAMILIES)),
         click.option("--agents", required=True, type=int),
@@ -170,21 +169,12 @@ def _generator_options(fn):
     return fn
 
 
-def _config(options: dict) -> GeneratorConfig:
-    values = {
-        name: parse_value(options[name])
-        for name in ("low", "high", "rescale_total")
-        if options[name] is not None
-    }
-    return GeneratorConfig(**{**options, **values})
-
-
 @main.command()
 @_generator_options
 @click.option("--out", default=None, help="Write the instance here instead of stdout.")
 def gen(out, **options):
     """Generate a random instance."""
-    text = dumps(instance_to_dict(generate(_config(options))))
+    text = dumps(instance_to_dict(generate(GeneratorConfig(**options))))
     if out is None:
         click.echo(text, nl=False)
     else:
@@ -202,7 +192,9 @@ def gen(out, **options):
 @_max_space_option
 def search(method, notions, trials, max_space, **options):
     """Hunt for fairness violations of a solver on random instances."""
-    report = search_counterexamples(_config(options), method, notions, trials, max_space=max_space)
+    report = search_counterexamples(
+        GeneratorConfig(**options), method, notions, trials, max_space=max_space
+    )
     click.echo(dumps(report.as_dict()), nl=False)
     if report.found:
         sys.exit(1)

@@ -34,7 +34,7 @@ def _chores(items: str, rows) -> Instance:
     return Instance(
         len(rows),
         tuple(items),
-        AdditiveValuation(tuple(tuple(Fraction(v) for v in row) for row in rows)),
+        AdditiveValuation.of(rows),
     )
 
 

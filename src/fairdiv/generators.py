@@ -32,6 +32,8 @@ from .model import (
     AdditiveValuation,
     GeneralIdenticalValuation,
     Instance,
+    lowest_terms,
+    parse_value,
     rescale_common_total,
     validate_instance,
 )
@@ -61,7 +63,8 @@ class GeneratorConfig:
     ``low``/``high``/``denominator`` bound the additive value grid;
     ``weight_max``/``perturb_max`` size the general set functions;
     ``rescale_total`` optionally rescales every agent of an additive
-    instance to that common grand-bundle value.
+    instance to that common grand-bundle value. ``low``, ``high`` and
+    ``rescale_total`` go through :func:`parse_value`: a float raises ``ValueError``.
     """
 
     agents: int
@@ -76,6 +79,9 @@ class GeneratorConfig:
     rescale_total: Optional[Fraction] = None
 
     def __post_init__(self):
+        for name in ("low", "high", "rescale_total"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, parse_value(getattr(self, name)))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.agents < 1:
@@ -112,12 +118,10 @@ def _grid_bounds(config: GeneratorConfig) -> tuple[int, int]:
     return lo, hi
 
 
-def _draw_row(rng: random.Random, config: GeneratorConfig) -> tuple[Fraction, ...]:
+def _draw_row(rng: random.Random, config: GeneratorConfig) -> list[tuple[int, int]]:
+    """One row of grid points k / denominator, as (k, denominator) pairs."""
     lo, hi = _grid_bounds(config)
-    return tuple(
-        Fraction(rng.randint(lo, hi), config.denominator)
-        for _ in range(config.items)
-    )
+    return [(rng.randint(lo, hi), config.denominator) for _ in range(config.items)]
 
 
 def _draw_general_table(
@@ -144,10 +148,7 @@ def _draw_general_table(
         table[mask] = table[mask ^ low] + denominator * weights[low.bit_length() - 1]
     for mask in range(1, 1 << m):
         table[mask] += rng.randint(-bound, bound)
-    divisor = math.gcd(denominator, *table)
-    if divisor > 1:
-        table = [entry // divisor for entry in table]
-    return GeneralIdenticalValuation(tuple(table), denominator // divisor)
+    return GeneralIdenticalValuation(*lowest_terms(table, denominator))
 
 
 def generate(config: GeneratorConfig) -> Instance:
@@ -157,12 +158,12 @@ def generate(config: GeneratorConfig) -> Instance:
     if config.family in _ADDITIVE_FAMILIES:
         if config.family == IDENTICAL_ADDITIVE:
             row = _draw_row(rng, config)
-            matrix = tuple(row for _ in range(config.agents))
+            rows = [row] * config.agents
         else:
-            matrix = tuple(_draw_row(rng, config) for _ in range(config.agents))
-        inst = Instance(config.agents, items, AdditiveValuation(matrix))
+            rows = [_draw_row(rng, config) for _ in range(config.agents)]
+        inst = Instance(config.agents, items, AdditiveValuation.from_pairs(rows))
         if config.rescale_total is not None:
-            inst = rescale_common_total(inst, Fraction(config.rescale_total))
+            inst = rescale_common_total(inst, config.rescale_total)
     else:
         strict = config.family == GENERAL_IDENTICAL_NONZERO
         valuation = _draw_general_table(rng, config, strict)

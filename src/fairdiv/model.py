@@ -13,7 +13,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from itertools import chain, islice
 from math import gcd, lcm
 from typing import Union
 
@@ -160,35 +161,68 @@ def format_table(scaled, scale: int) -> list[str]:
     return [_decimal(a * factor, digits) for a in scaled]
 
 
+def lowest_terms(scaled, scale: int) -> tuple[tuple[int, ...], int]:
+    """Integers over a positive common denominator, divided through by
+    ``gcd(scale, *scaled)``: the canonical form of both valuation kinds,
+    whose scale is the lcm of the values' reduced denominators."""
+    divisor = gcd(scale, *scaled)
+    if divisor > 1:
+        scaled = [a // divisor for a in scaled]
+    return tuple(scaled), scale // divisor
+
+
+def _over_one_scale(pairs) -> tuple[tuple[int, ...], int]:
+    """(numerator, denominator) pairs as integers over one scale, in :func:`lowest_terms` form."""
+    numerators, denominators = [], []
+    for a, b in pairs:
+        numerators.append(a)
+        denominators.append(b)
+    common = lcm(*set(denominators))
+    return lowest_terms(tuple(a * (common // b) for a, b in zip(numerators, denominators)), common)
+
+
+def _require_lowest_terms(scaled, scale: int) -> None:
+    if scale < 1 or gcd(scale, *scaled) != 1:
+        raise InvalidInstance(f"scale {scale} is not positive or not reduced")
+
+
 @dataclass(frozen=True)
 class AdditiveValuation:
-    """Per-agent additive valuations: an n x m matrix of exact values.
+    """Per-agent additive valuations: agent i values item j at
+    ``scaled[i][j] / scale`` and a bundle at the sum over its items.
 
-    The value of a bundle to agent i is the sum of agent i's entries over
-    the bundle's items. :attr:`scaled` is the same matrix as integers
-    over :attr:`scale`, the least common multiple of the denominators.
+    The form is canonical (see :func:`lowest_terms`), so equal matrices
+    are equal objects. :meth:`of` builds one from exact values.
     """
 
-    matrix: tuple[tuple[Fraction, ...], ...]
-
-    kind = "additive"
+    scaled: tuple[tuple[int, ...], ...]
+    scale: int
 
     def __post_init__(self):
-        if not self.matrix:
+        if not self.scaled:
             raise InvalidInstance("additive valuation needs at least one agent row")
-        width = len(self.matrix[0])
-        for row in self.matrix:
-            if len(row) != width:
-                raise InvalidInstance("additive valuation rows differ in length")
+        if len({len(row) for row in self.scaled}) != 1:
+            raise InvalidInstance("additive valuation rows differ in length")
+        _require_lowest_terms(chain.from_iterable(self.scaled), self.scale)
 
-    @cached_property
-    def scale(self) -> int:
-        return lcm(*{entry.denominator for row in self.matrix for entry in row})
+    @classmethod
+    def of(cls, rows) -> "AdditiveValuation":
+        """The matrix of exact values, as :func:`parse_pair` reads them, by rows."""
+        return cls.from_pairs(map(parse_pair, row) for row in rows)
 
-    @cached_property
-    def scaled(self) -> tuple[tuple[int, ...], ...]:
-        scale = self.scale
-        return tuple(tuple(e.numerator * scale // e.denominator for e in row) for row in self.matrix)
+    @classmethod
+    def from_pairs(cls, rows) -> "AdditiveValuation":
+        """The matrix of values given as (numerator, denominator) pairs,
+        denominators positive, one row of pairs per agent."""
+        rows = [tuple(row) for row in rows]
+        scaled, scale = _over_one_scale(chain.from_iterable(rows))
+        entries = iter(scaled)
+        return cls(tuple(tuple(islice(entries, len(row))) for row in rows), scale)
+
+    @property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The exact values, rebuilt as ``Fraction``s on each access."""
+        return tuple(tuple(Fraction(a, self.scale) for a in row) for row in self.scaled)
 
 
 @dataclass(frozen=True)
@@ -197,15 +231,12 @@ class GeneralIdenticalValuation:
     values indexed by bundle bitmask, bundle S being worth
     ``scaled[S] / scale``.
 
-    The form is canonical: ``scale`` is the least common multiple of the
-    values' reduced denominators, so ``gcd(scale, *scaled) == 1`` and equal
-    tables are equal objects. :meth:`of` builds one from exact values.
+    The form is canonical (see :func:`lowest_terms`), so equal tables are
+    equal objects. :meth:`of` builds one from exact values.
     """
 
     scaled: tuple[int, ...]
     scale: int
-
-    kind = "general-identical"
 
     def __post_init__(self):
         size = len(self.scaled)
@@ -213,27 +244,19 @@ class GeneralIdenticalValuation:
             raise InvalidInstance(
                 f"general valuation table length must be a power of two, got {size}"
             )
-        if self.scale < 1 or gcd(self.scale, *self.scaled) != 1:
-            raise InvalidInstance(f"scale {self.scale} is not positive or not reduced")
+        _require_lowest_terms(self.scaled, self.scale)
 
     @classmethod
     def of(cls, values) -> "GeneralIdenticalValuation":
-        """The table of exact values (``Fraction``s or integers) listed in
-        bundle-bitmask order."""
-        return cls.from_pairs((entry.numerator, entry.denominator) for entry in values)
+        """The table of exact values, as :func:`parse_pair` reads them, by bitmask."""
+        return cls.from_pairs(map(parse_pair, values))
 
     @classmethod
     def from_pairs(cls, pairs) -> "GeneralIdenticalValuation":
-        """The table of values given as reduced (numerator, denominator)
-        pairs, denominators positive, listed in bundle-bitmask order. Only
-        the integers are kept while ``pairs`` is read; as each pair is
-        reduced, the lcm of the denominators is the canonical scale."""
-        numerators, denominators = [], []
-        for a, b in pairs:
-            numerators.append(a)
-            denominators.append(b)
-        scale = lcm(*set(denominators))
-        return cls(tuple(a * (scale // b) for a, b in zip(numerators, denominators)), scale)
+        """The table of values given as (numerator, denominator) pairs,
+        denominators positive, listed in bundle-bitmask order. Only the
+        integers are kept while ``pairs`` is read."""
+        return cls(*_over_one_scale(pairs))
 
 
 Valuation = Union[AdditiveValuation, GeneralIdenticalValuation]
@@ -253,15 +276,11 @@ class Instance:
         if len(set(self.items)) != len(self.items):
             raise InvalidInstance("item names must be unique")
         if isinstance(self.valuation, AdditiveValuation):
-            if len(self.valuation.matrix) != self.agents:
+            rows = self.valuation.scaled
+            if (len(rows), len(rows[0])) != (self.agents, len(self.items)):
                 raise InvalidInstance(
-                    f"expected {self.agents} valuation rows, "
-                    f"got {len(self.valuation.matrix)}"
-                )
-            if len(self.valuation.matrix[0]) != len(self.items):
-                raise InvalidInstance(
-                    f"expected {len(self.items)} columns, "
-                    f"got {len(self.valuation.matrix[0])}"
+                    f"expected a {self.agents} x {len(self.items)} value matrix, "
+                    f"got {len(rows)} x {len(rows[0])}"
                 )
         else:
             if len(self.valuation.scaled) != 1 << len(self.items):
@@ -477,7 +496,7 @@ def classify_items(inst: Instance) -> ItemClassification:
     """
     if isinstance(inst.valuation, AdditiveValuation):
         goods = []
-        for row in inst.valuation.matrix:
+        for row in inst.valuation.scaled:
             mask = 0
             for j, entry in enumerate(row):
                 if entry >= 0:
@@ -514,50 +533,48 @@ def value(inst: Instance, agent: int, bundle: Bundle) -> Fraction:
     return Fraction(scaled_value(inst, agent, bundle), inst.valuation.scale)
 
 
-def rescale_common_total(inst: Instance, total: Fraction) -> Instance:
+def rescale_common_total(inst: Instance, total) -> Instance:
     """Scale each agent's additive values so every agent values the full
-    item set at exactly ``total``.
+    item set at exactly ``total`` (anything :func:`parse_pair` reads).
 
     Each row is multiplied by total / v_i(M), which preserves every
-    within-agent bundle comparison. Requires ``total`` and every v_i(M)
-    to be nonzero and of the same sign.
+    within-agent bundle comparison; as the valuation's scale cancels,
+    entry a_ij becomes a_ij * total / (a_i1 + ... + a_im). Requires
+    ``total`` and every v_i(M) to be nonzero and of the same sign.
     """
     if not isinstance(inst.valuation, AdditiveValuation):
         raise NotAdditive("rescaling requires an additive instance")
-    total = Fraction(total)
+    num, den = parse_pair(total)
     rows = []
-    for i, row in enumerate(inst.valuation.matrix):
-        row_total = sum(row, Fraction(0))
+    for i, row in enumerate(inst.valuation.scaled):
+        row_total = sum(row)
         if row_total == 0:
             raise ZeroTotal(i)
-        if total == 0 or (row_total > 0) != (total > 0):
-            raise SignMismatch(i, row_total, total)
-        factor = total / row_total
-        rows.append(tuple(entry * factor for entry in row))
-    return Instance(
-        agents=inst.agents,
-        items=inst.items,
-        valuation=AdditiveValuation(tuple(rows)),
-    )
+        if num == 0 or (row_total > 0) != (num > 0):
+            raise SignMismatch(i, Fraction(row_total, inst.valuation.scale), Fraction(num, den))
+        # num and row_total share a sign: num / row_total = abs(num) / abs(row_total)
+        rows.append([(a * abs(num), abs(row_total) * den) for a in row])
+    return Instance(inst.agents, inst.items, AdditiveValuation.from_pairs(rows))
+
+
+def require_chores_only(inst: Instance) -> None:
+    """Raise :class:`NotAdditive` on a general valuation and
+    :class:`NotChoresOnly` on the first positively valued (agent, item)
+    pair of an additive one."""
+    if not isinstance(inst.valuation, AdditiveValuation):
+        raise NotAdditive("the aversion view requires an additive instance")
+    for i, row in enumerate(inst.valuation.scaled):
+        for j, entry in enumerate(row):
+            if entry > 0:
+                raise NotChoresOnly(i, j)
 
 
 def aversion_view(inst: Instance) -> Instance:
     """Negate a chores-only additive instance into aversion form.
 
     The result holds each agent's aversions u_i = |v_i| = -v_i, all
-    nonnegative. Raises :class:`NotAdditive` on a general valuation and
-    :class:`NotChoresOnly` on the first positively valued (agent, item)
-    pair.
+    nonnegative. Raises as :func:`require_chores_only` does.
     """
-    if not isinstance(inst.valuation, AdditiveValuation):
-        raise NotAdditive("the aversion view requires an additive instance")
-    for i, row in enumerate(inst.valuation.matrix):
-        for j, entry in enumerate(row):
-            if entry > 0:
-                raise NotChoresOnly(i, j)
-    rows = tuple(tuple(-entry for entry in row) for row in inst.valuation.matrix)
-    return Instance(
-        agents=inst.agents,
-        items=inst.items,
-        valuation=AdditiveValuation(rows),
-    )
+    require_chores_only(inst)
+    rows = tuple(tuple(-entry for entry in row) for row in inst.valuation.scaled)
+    return Instance(inst.agents, inst.items, AdditiveValuation(rows, inst.valuation.scale))

@@ -4,15 +4,12 @@ audit its output.
 Per-trial seeds are drawn once from the config seed, so the whole run is
 reproducible and every reported violation can be re-verified from the
 report alone. Each trial's instance is generated when the trial runs.
-Explicit instances can be prepended to the stream, which is how known
-hard instances are replayed through the harness.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from itertools import chain
 
 from .audit import CheckResult, Verdict, audit, require_notions
 from .generators import GeneratorConfig, generate
@@ -26,7 +23,7 @@ class Violation:
     """One audited failure: enough data to replay it exactly."""
 
     trial: int
-    seed: int | None
+    seed: int
     instance: Instance
     allocation: Allocation
     notion: str
@@ -72,16 +69,14 @@ def search_counterexamples(
     method: str,
     notions,
     trials: int,
-    extra_instances=(),
     max_space: int | None = None,
 ) -> SearchReport:
     """Audit ``method`` over ``trials`` generated instances.
 
-    ``extra_instances`` are run first, before the random stream, and do
-    not count against ``trials``, which must not be negative. An unknown
-    method or notion raises ``ValueError`` before the first trial. Notions
-    whose check exceeds the search cap are reported as not-applicable by
-    the audit and never counted as violations.
+    ``trials`` must not be negative. An unknown method or notion raises
+    ``ValueError`` before the first trial. Notions whose check exceeds the
+    search cap are reported as not-applicable by the audit and never
+    counted as violations.
     """
     if trials < 0:
         raise ValueError(f"trials cannot be negative, got {trials}")
@@ -90,12 +85,9 @@ def search_counterexamples(
     require_notions(notions)
     rng = random.Random(config.seed)
     trial_seeds = [rng.randrange(2**63) for _ in range(trials)]
-    stream = chain(
-        ((None, inst) for inst in extra_instances),
-        ((seed, generate(replace(config, seed=seed))) for seed in trial_seeds),
-    )
     violations = []
-    for trial, (seed, inst) in enumerate(stream):
+    for trial, seed in enumerate(trial_seeds):
+        inst = generate(replace(config, seed=seed))
         result = solve_with_method(inst, method, max_space)
         report = audit(inst, result.allocation, notions, max_space)
         for notion, check in report.results:

@@ -19,7 +19,6 @@ from .model import (
     format_table,
     format_value,
     parse_pair,
-    parse_value,
     validate_instance,
 )
 
@@ -32,8 +31,7 @@ def instance_to_dict(inst: Instance) -> dict:
         valuation = {
             "type": "additive",
             "matrix": [
-                [format_value(entry) for entry in row]
-                for row in inst.valuation.matrix
+                format_table(row, inst.valuation.scale) for row in inst.valuation.scaled
             ],
         }
     else:
@@ -58,10 +56,10 @@ def _entries(valuation: dict, key: str) -> list:
     return entries
 
 
-def _values(parse, entries):
-    """``parse`` of each entry in turn, a malformed one ending the read."""
+def _pairs(entries):
+    """Each entry's :func:`parse_pair` in turn, a malformed one ending the read."""
     try:
-        yield from map(parse, entries)
+        yield from map(parse_pair, entries)
     except ValueError as exc:
         raise InvalidInstance(f"malformed value entry: {exc}") from None
 
@@ -84,8 +82,7 @@ def _parse_instance(data: dict) -> Instance:
         rows = _entries(valuation, "matrix")
         if not all(isinstance(row, list) for row in rows):
             raise InvalidInstance("additive matrix rows must be lists")
-        matrix = tuple(tuple(_values(parse_value, row)) for row in rows)
-        model = AdditiveValuation(matrix)
+        model = AdditiveValuation.from_pairs(_pairs(row) for row in rows)
     elif vtype == "general-identical":
         if len(items) > MAX_GENERAL_ITEMS:
             raise InvalidInstance(
@@ -93,7 +90,7 @@ def _parse_instance(data: dict) -> Instance:
                 f"{MAX_GENERAL_ITEMS} items, got {len(items)}"
             )
         model = GeneralIdenticalValuation.from_pairs(
-            _values(parse_pair, _entries(valuation, "table"))
+            _pairs(_entries(valuation, "table"))
         )
     else:
         raise InvalidInstance(f"unknown valuation type {vtype!r}")

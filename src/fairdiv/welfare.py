@@ -1,4 +1,4 @@
-"""Nash-welfare baselines for chores, on top of the aversion view.
+"""Nash-welfare baselines for chores.
 
 Both solvers work on chores-only additive instances and score allocations
 through each agent's aversion u_i = -v_i:
@@ -35,8 +35,8 @@ from .model import (
     Allocation,
     Instance,
     SolveResult,
-    aversion_view,
     require_allocation,
+    require_chores_only,
     scaled_value,
     value,
 )
@@ -60,7 +60,7 @@ def _score(factors) -> WelfareScore:
 def nash_prime_factors(inst: Instance, alloc: Allocation) -> tuple[Fraction, ...]:
     """Per-agent spared aversion u_i(M) - u_i(A_i), which for chores-only
     values equals v_i(A_i) - v_i(M)."""
-    aversion_view(inst)  # rejects all but chores-only additive instances
+    require_chores_only(inst)
     require_allocation(inst, alloc)
     scale = inst.valuation.scale
     return tuple(
@@ -99,7 +99,7 @@ def mnw_prime_solve(inst: Instance, max_space: int | None = None) -> SolveResult
 
     Ties break toward the first optimum in canonical enumeration order.
     """
-    aversion_view(inst)  # rejects all but chores-only additive instances
+    require_chores_only(inst)
     guard_search_space(inst.agents, inst.m, max_space)
     rows = AllocationRows(inst)
     totals = rows.contributions.sum(axis=1)
@@ -205,7 +205,7 @@ def constrained_mnw_solve(inst: Instance, max_space: int | None = None) -> Solve
     also gives the tie count. Ties break toward the first optimum in
     canonical enumeration order.
     """
-    aversion_view(inst)  # rejects all but chores-only additive instances
+    require_chores_only(inst)
     guard_search_space(inst.agents, inst.m, max_space)
     contributions, _lookup = contribution_matrix(inst)
     vectors, counts, firsts = _pareto_frontier(contributions)

@@ -23,11 +23,10 @@ settings.load_profile("fairdiv")
 
 def additive(rows) -> Instance:
     """Instance with additive rows; items named a, b, c, ... in order."""
-    matrix = tuple(tuple(Fraction(v) for v in row) for row in rows)
     return Instance(
-        agents=len(matrix),
-        items=tuple(ITEM_NAMES[: len(matrix[0])]),
-        valuation=AdditiveValuation(matrix),
+        agents=len(rows),
+        items=tuple(ITEM_NAMES[: len(rows[0])]),
+        valuation=AdditiveValuation.of(rows),
     )
 
 
@@ -58,7 +57,7 @@ def prefix_allocations(inst, trace):
         sub = Instance(
             agents=inst.agents,
             items=tuple(inst.items[j] for j in taken),
-            valuation=AdditiveValuation(
+            valuation=AdditiveValuation.of(
                 tuple(tuple(row[j] for j in taken) for row in matrix)
             ),
         )

@@ -575,7 +575,8 @@ def test_relabelling_agents_maps_every_witness_back(case, data):
     order = data.draw(st.permutations(range(inst.agents)))  # new agent k was order[k]
     valuation = inst.valuation
     if isinstance(valuation, AdditiveValuation):
-        valuation = AdditiveValuation(tuple(valuation.matrix[old] for old in order))
+        rows = tuple(valuation.scaled[old] for old in order)
+        valuation = AdditiveValuation(rows, valuation.scale)
     new_label = {old: new for new, old in enumerate(order)}
     relabelled = Allocation(inst.agents, tuple(new_label[a] for a in alloc.assignment))
     notions = ("ef", "ef1", "efx", "prop", "prop1")

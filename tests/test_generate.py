@@ -14,6 +14,7 @@ from fairdiv import (
     instance_to_json,
     generate,
     instance_from_json,
+    rescale_common_total,
     validate_instance,
     value,
 )
@@ -153,6 +154,25 @@ def test_config_validation():
     # a chores grid needs at least one value below zero
     with pytest.raises(ValueError):
         generate(cfg(low=Fraction(1), high=Fraction(10)))
+
+
+@pytest.mark.parametrize("field", ["low", "high", "rescale_total"])
+@pytest.mark.parametrize("bad", [-0.1, True, "-0.1.5"])
+def test_config_rejects_a_value_that_is_not_exact(field, bad):
+    with pytest.raises(ValueError):
+        cfg(**{field: bad})
+
+
+def test_config_parses_its_values_once():
+    config = cfg(low="-1.5", high="1/2", rescale_total=-2)
+    assert (config.low, config.high, config.rescale_total) == (
+        Fraction(-3, 2),
+        Fraction(1, 2),
+        Fraction(-2),
+    )
+    inst = generate(cfg(agents=2, items=2, seed=1, rescale_total="-0.1"))
+    plain = generate(cfg(agents=2, items=2, seed=1))
+    assert inst == rescale_common_total(plain, Fraction(-1, 10))
 
 
 @pytest.mark.parametrize(

@@ -25,8 +25,11 @@ from fairdiv import (
     classify_items,
     fixture_instance,
     format_value,
+    instance_from_json,
+    instance_to_json,
     parse_pair,
     parse_value,
+    require_chores_only,
     rescale_common_total,
     validate_instance,
     value,
@@ -173,9 +176,9 @@ def test_format_table_is_format_value_of_each_entry(entries, scale):
 
 def test_additive_valuation_rejects_ragged_rows():
     with pytest.raises(InvalidInstance):
-        AdditiveValuation(((Fraction(1), Fraction(2)), (Fraction(3),)))
+        AdditiveValuation.of(((Fraction(1), Fraction(2)), (Fraction(3),)))
     with pytest.raises(InvalidInstance):
-        AdditiveValuation(())
+        AdditiveValuation.of(())
 
 
 def test_general_valuation_needs_power_of_two_table():
@@ -185,35 +188,65 @@ def test_general_valuation_needs_power_of_two_table():
         GeneralIdenticalValuation.of(())
 
 
-def test_general_valuation_is_stored_once_in_lowest_terms():
-    valuation = GeneralIdenticalValuation.of(
-        (Fraction(0), Fraction(1, 2), Fraction(-3, 4), Fraction(1, 2**70 + 1))
+#: Both valuation kinds, each with how it lays out one list of entries:
+#: a general table as is, an additive matrix as a single agent's row.
+VALUATION_KINDS = [
+    pytest.param(GeneralIdenticalValuation, tuple, id="general"),
+    pytest.param(AdditiveValuation, lambda entries: (tuple(entries),), id="additive"),
+]
+
+
+@pytest.mark.parametrize("kind, shape", VALUATION_KINDS)
+def test_valuation_is_stored_once_in_lowest_terms(kind, shape):
+    valuation = kind.of(
+        shape((Fraction(0), Fraction(1, 2), Fraction(-3, 4), Fraction(1, 2**70 + 1)))
     )
     assert valuation.scale == 4 * (2**70 + 1)
-    assert valuation.scaled == (0, 2 * (2**70 + 1), -3 * (2**70 + 1), 4)
-    assert GeneralIdenticalValuation.of((0, 2)) == GeneralIdenticalValuation((0, 2), 1)
-    assert GeneralIdenticalValuation.of((0,)) == GeneralIdenticalValuation((0,), 1)
+    assert valuation.scaled == shape((0, 2 * (2**70 + 1), -3 * (2**70 + 1), 4))
+    assert kind.of(shape((0, 2))) == kind(shape((0, 2)), 1)
+    assert kind.of(shape((0,))) == kind(shape((0,)), 1)
 
 
+@pytest.mark.parametrize("kind, shape", VALUATION_KINDS)
 @pytest.mark.parametrize(
     "scaled, scale",
     [((0, 1), 0), ((0, 1), -1), ((0, 2), 2), ((0, 6, -9, 3), 3), ((0,), 2)],
 )
-def test_general_valuation_rejects_a_scale_that_is_not_canonical(scaled, scale):
+def test_valuation_rejects_a_scale_that_is_not_canonical(kind, shape, scaled, scale):
     with pytest.raises(InvalidInstance):
-        GeneralIdenticalValuation(scaled, scale)
+        kind(shape(scaled), scale)
+
+
+#: Exact values with denominators up to 2^70 + 1.
+EXACT = st.builds(Fraction, st.integers(-(2**72), 2**72), st.integers(1, 2**70 + 1))
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda m: st.lists(st.tuples(*[EXACT] * m), min_size=1, max_size=4)
+    )
+    | st.lists(st.just(()), min_size=1, max_size=3)  # m = 0
+)
+def test_an_additive_valuation_round_trips_exactly(rows):
+    rows = tuple(rows)
+    valuation = AdditiveValuation.of(rows)
+    assert valuation.matrix == rows
+    again = AdditiveValuation.of([[str(entry) for entry in row] for row in rows])
+    assert again == valuation and hash(again) == hash(valuation)
+    inst = Instance(len(rows), tuple(f"o{j}" for j in range(len(rows[0]))), valuation)
+    assert instance_from_json(instance_to_json(inst)) == inst
 
 
 def test_instance_structural_checks():
     row = (Fraction(-1), Fraction(-2))
     with pytest.raises(InvalidInstance):
-        Instance(2, ("a", "b"), AdditiveValuation((row,)))  # row count
+        Instance(2, ("a", "b"), AdditiveValuation.of((row,)))  # row count
     with pytest.raises(InvalidInstance):
-        Instance(1, ("a",), AdditiveValuation((row,)))  # column count
+        Instance(1, ("a",), AdditiveValuation.of((row,)))  # column count
     with pytest.raises(InvalidInstance):
-        Instance(1, ("a", "a"), AdditiveValuation((row,)))  # duplicate names
+        Instance(1, ("a", "a"), AdditiveValuation.of((row,)))  # duplicate names
     with pytest.raises(InvalidInstance):
-        Instance(0, (), AdditiveValuation(((),)))  # no agents
+        Instance(0, (), AdditiveValuation.of(((),)))  # no agents
     with pytest.raises(InvalidInstance):
         Instance(1, ("a", "b"), GeneralIdenticalValuation.of((Fraction(0), Fraction(1))))
 
@@ -362,6 +395,8 @@ def test_rescale_errors():
         rescale_common_total(additive([(-3,)]), Fraction(1))
     with pytest.raises(NotAdditive):
         rescale_common_total(general(1, (0, -1)), Fraction(-1))
+    with pytest.raises(ValueError):
+        rescale_common_total(additive([(-3,)]), -0.1)
 
 
 @pytest.mark.parametrize("rows", [[(-1, -2)], [(1, 2)], [(1, -2), (-3, 1)]])
@@ -401,6 +436,15 @@ def test_aversion_view_negates():
 def test_aversion_view_allows_zero_values():
     view = aversion_view(additive([(0, -2)]))
     assert view.valuation.matrix == ((Fraction(0), Fraction(2)),)
+
+
+def test_require_chores_only_reads_signs():
+    assert require_chores_only(additive([(0, -2), (-1, 0)])) is None
+    with pytest.raises(NotChoresOnly) as err:
+        require_chores_only(additive([(-1, -2), (-3, 4)]))
+    assert (err.value.agent, err.value.item) == (1, 1)
+    with pytest.raises(NotAdditive):
+        require_chores_only(general(1, (0, -1)))
 
 
 def test_aversion_view_rejects_goods():

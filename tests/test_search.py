@@ -2,17 +2,14 @@
 
 import gc
 import weakref
-from fractions import Fraction
 
 import pytest
 
 from fairdiv import search
 from fairdiv import (
     GeneratorConfig,
-    Prop1Witness,
     Verdict,
     audit,
-    fixture_instance,
     search_counterexamples,
 )
 
@@ -31,28 +28,6 @@ def test_zero_trials_and_no_extras_find_nothing():
 def test_negative_trials_are_rejected():
     with pytest.raises(ValueError):
         search_counterexamples(chores_cfg(), "leximin", ("ef",), trials=-3)
-
-
-def test_extra_instances_are_checked_first():
-    report = search_counterexamples(
-        chores_cfg(),
-        "leximin",
-        ("prop1",),
-        trials=0,
-        extra_instances=(fixture_instance("table1"),),
-    )
-    assert report.found
-    (v,) = report.violations
-    assert v.trial == 0
-    assert v.seed is None
-    assert v.notion == "prop1"
-    assert v.result.witness == Prop1Witness(
-        0, Fraction(-18), Fraction(-12), Fraction(-11)
-    )
-    # the violation re-verifies on its own stored instance and allocation
-    recheck = audit(v.instance, v.allocation, ("prop1",)).result("prop1")
-    assert recheck.verdict is Verdict.FAILS
-    assert recheck.witness == v.result.witness
 
 
 def test_seeded_search_finds_a_frozen_violation():

@@ -118,7 +118,7 @@ def test_constrained_solve_counts_past_int64():
     inst = Instance(
         agents=2,
         items=tuple(f"c{j}" for j in range(67)),
-        valuation=AdditiveValuation(((Fraction(-1),) * 67,) * 2),
+        valuation=AdditiveValuation.of(((-1,) * 67,) * 2),
     )
     res = constrained_mnw_solve(inst, max_space=2**67)
     assert res.tie_count == 2 * comb(67, 33) == 28_453_041_475_240_576_740
