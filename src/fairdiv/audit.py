@@ -340,10 +340,13 @@ NOTIONS = tuple(_CHECKS)
 
 
 def require_notions(notions) -> None:
-    """Raise ``ValueError`` on the first name that is not a notion."""
-    for notion in notions:
+    """Raise ``ValueError`` on the first name that is not a notion or
+    that repeats an earlier one; ``notions`` is a tuple."""
+    for k, notion in enumerate(notions):
         if notion not in _CHECKS:
             raise ValueError(f"unknown notion {notion!r}")
+        if notion in notions[:k]:
+            raise ValueError(f"notion {notion!r} is repeated")
 
 
 @dataclass(frozen=True)
@@ -384,9 +387,9 @@ def audit(
 ) -> FairnessReport:
     """Run the requested checks and collect one verdict per notion.
 
-    An unknown notion raises ``ValueError`` before any check runs. A check
-    whose search space exceeds the cap is reported as not-applicable
-    rather than aborting the whole audit.
+    An unknown or repeated notion raises ``ValueError`` before any check
+    runs. A check whose search space exceeds the cap is reported as
+    not-applicable rather than aborting the whole audit.
     """
     require_allocation(inst, alloc)
     notions = tuple(notions)

@@ -111,7 +111,7 @@ def contribution_matrix(
         bound = 0
     else:
         contributions = extra
-        lookup, _scale = scaled_table(inst.valuation)
+        lookup = scaled_table(inst.valuation)
         bound = int(np.abs(lookup).max()) * weight
     bound += max(sum(abs(entry) for entry in row) for row in contributions)
     dtype = np.int64 if n * bound < INT64_LIMIT else object

@@ -181,6 +181,11 @@ def _over_one_scale(pairs) -> tuple[tuple[int, ...], int]:
     return lowest_terms(tuple(a * (common // b) for a, b in zip(numerators, denominators)), common)
 
 
+def _is_int(x) -> bool:
+    """Whether ``x`` is an ``int`` and not a ``bool``."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _require_lowest_terms(scaled, scale: int) -> None:
     if scale < 1 or gcd(scale, *scaled) != 1:
         raise InvalidInstance(f"scale {scale} is not positive or not reduced")
@@ -271,8 +276,10 @@ class Instance:
     valuation: Valuation
 
     def __post_init__(self):
-        if self.agents < 1:
-            raise InvalidInstance("an instance needs at least one agent")
+        if not _is_int(self.agents) or self.agents < 1:
+            raise InvalidInstance(f"agents must be a positive integer, got {self.agents!r}")
+        if not isinstance(self.items, tuple) or not all(isinstance(x, str) for x in self.items):
+            raise InvalidInstance("items must be a tuple of strings")
         if len(set(self.items)) != len(self.items):
             raise InvalidInstance("item names must be unique")
         if isinstance(self.valuation, AdditiveValuation):
@@ -340,10 +347,12 @@ class Allocation:
     assignment: tuple[int, ...]
 
     def __post_init__(self):
+        if not _is_int(self.agents):
+            raise InvalidAllocation(f"agents must be an integer, got {self.agents!r}")
         for j, agent in enumerate(self.assignment):
-            if not 0 <= agent < self.agents:
+            if not _is_int(agent) or not 0 <= agent < self.agents:
                 raise InvalidAllocation(
-                    f"item {j} assigned to agent {agent}, valid range is "
+                    f"item {j} assigned to agent {agent!r}, valid range is "
                     f"0..{self.agents - 1}"
                 )
 
@@ -411,22 +420,21 @@ class SolveResult:
     search_space: int
 
 
-def scaled_table(valuation: GeneralIdenticalValuation) -> tuple[np.ndarray, int]:
-    """A general table's integers as an array, and its scale.
+def scaled_table(valuation: GeneralIdenticalValuation) -> np.ndarray:
+    """A general table's integers as an array indexed by bundle bitmask.
 
     Integer order on the array is exact order on the values. It is int64
     when every entry lies strictly between -2^63 and 2^63, and otherwise a
-    ``dtype=object`` array of Python integers. Returns (array indexed by
-    bundle bitmask, scale).
+    ``dtype=object`` array of Python integers.
     """
     scaled = valuation.scaled
     try:
         array = np.fromiter(scaled, np.int64, len(scaled))
         if array.min() > np.iinfo(np.int64).min:
-            return array, valuation.scale
+            return array
     except OverflowError:
         pass
-    return np.fromiter(scaled, object, len(scaled)), valuation.scale
+    return np.fromiter(scaled, object, len(scaled))
 
 
 def _first_subset(hits: np.ndarray, item: int) -> Bundle | None:
@@ -441,44 +449,20 @@ def _first_subset(hits: np.ndarray, item: int) -> Bundle | None:
     return ((p >> item) << (item + 1)) | (p & ((1 << item) - 1))
 
 
-def _marginal_signs(valuation: GeneralIdenticalValuation):
-    """For each item j in order, yield (j, the first subset on which j's
-    marginal is positive, the first on which it is negative), each the
-    smallest such bitmask without bit j, or None where there is none.
-
-    One comparison per marginal on :func:`scaled_table`: viewing the table
-    as (-1, 2, 2^j) puts every subset without j (slot 0) next to the same
-    subset with j (slot 1), both in ascending order. Comparing instead of
-    subtracting keeps int64 entries from overflowing.
-    """
-    scaled, _scale = scaled_table(valuation)
-    m = len(scaled).bit_length() - 1
-    for j in range(m):
-        pairs = scaled.reshape(-1, 2, 1 << j)
-        without, with_j = pairs[:, 0], pairs[:, 1]
-        yield j, _first_subset(with_j > without, j), _first_subset(with_j < without, j)
-
-
 def validate_instance(inst: Instance) -> Instance:
     """Check the semantic invariants of an instance and return it.
 
     Additive instances are valid by construction. A general valuation must
-    give the empty bundle value 0 and be item-wise monotone: each item's
-    marginal keeps one sign over all subsets, so every item is globally a
-    good or globally a chore. Violations raise :class:`NonzeroEmptySet` or
-    :class:`MixedMonotonicity`; the latter names the lowest mixed item and
-    the smallest subset bitmasks on which its marginal is positive and
-    negative. The marginals are compared exactly on :func:`scaled_table`
-    (int64 when every scaled entry is below 2^63 in absolute value, Python
-    integers otherwise), never as ``Fraction`` differences or floats.
+    give the empty bundle value 0, or :class:`NonzeroEmptySet` is raised,
+    and be item-wise monotone: :func:`classify_items`, run here, raises
+    :class:`MixedMonotonicity` otherwise, and its cache hands the split on
+    to a solver or audit of the same instance.
     """
     if isinstance(inst.valuation, AdditiveValuation):
         return inst
     if inst.valuation.scaled[0] != 0:
         raise NonzeroEmptySet(value(inst, 0, 0))
-    for item, raising, lowering in _marginal_signs(inst.valuation):
-        if raising is not None and lowering is not None:
-            raise MixedMonotonicity(item, raising, lowering)
+    classify_items(inst)
     return inst
 
 
@@ -487,12 +471,19 @@ def classify_items(inst: Instance) -> ItemClassification:
     """Split items into goods and chores for each agent.
 
     Additive: item j is a good for agent i iff v_i(j) >= 0 (zero-valued
-    items count as goods). General identical: item j is a good iff none
-    of its marginals is negative, read from the same exact integer
-    comparisons as :func:`validate_instance` makes; the classification is
-    shared by all agents. Only the last instance is cached: every command
-    and search trial works on one at a time, and a larger cache would keep
-    old instances alive.
+    items count as goods). General identical: the split is shared by all
+    agents, and the table must be item-wise monotone, each item's marginal
+    keeping one sign over all subsets. Item j is a good iff none of its
+    marginals is negative; :class:`MixedMonotonicity` names the lowest
+    item with marginals of both signs and the smallest subset bitmasks on
+    which its marginal is positive and negative.
+
+    Each marginal is compared once on :func:`scaled_table`, viewed as
+    (-1, 2, 2^j): every subset without j (slot 0) sits next to the same
+    subset with j (slot 1), both in ascending order. Comparing instead of
+    subtracting keeps int64 entries from overflowing. Only the last
+    instance is cached: every command and search trial works on one at a
+    time, and a larger cache would keep old instances alive.
     """
     if isinstance(inst.valuation, AdditiveValuation):
         goods = []
@@ -503,10 +494,16 @@ def classify_items(inst: Instance) -> ItemClassification:
                     mask |= 1 << j
             goods.append(mask)
     else:
+        scaled = scaled_table(inst.valuation)
         shared = 0
-        for j, _raising, lowering in _marginal_signs(inst.valuation):
+        for j in range(inst.m):
+            pairs = scaled.reshape(-1, 2, 1 << j)
+            without, with_j = pairs[:, 0], pairs[:, 1]
+            lowering = _first_subset(with_j < without, j)
             if lowering is None:
                 shared |= 1 << j
+            elif (raising := _first_subset(with_j > without, j)) is not None:
+                raise MixedMonotonicity(j, raising, lowering)
         goods = [shared] * inst.agents
     full = inst.full_mask
     return ItemClassification(

@@ -73,10 +73,10 @@ def search_counterexamples(
 ) -> SearchReport:
     """Audit ``method`` over ``trials`` generated instances.
 
-    ``trials`` must not be negative. An unknown method or notion raises
-    ``ValueError`` before the first trial. Notions whose check exceeds the
-    search cap are reported as not-applicable by the audit and never
-    counted as violations.
+    ``trials`` must not be negative. An unknown method, or an unknown or
+    repeated notion, raises ``ValueError`` before the first trial.
+    Notions whose check exceeds the search cap are reported as
+    not-applicable by the audit and never counted as violations.
     """
     if trials < 0:
         raise ValueError(f"trials cannot be negative, got {trials}")

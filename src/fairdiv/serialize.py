@@ -73,10 +73,8 @@ def _parse_instance(data: dict) -> Instance:
         vtype = valuation["type"]
     except (KeyError, TypeError) as exc:
         raise InvalidInstance(f"malformed instance document: {exc}") from None
-    if not isinstance(agents, int) or isinstance(agents, bool):
-        raise InvalidInstance("agents must be an integer")
-    if not isinstance(items, list) or not all(isinstance(name, str) for name in items):
-        raise InvalidInstance("items must be a list of strings")
+    if not isinstance(items, list):
+        raise InvalidInstance(f"items must be a list, got {type(items).__name__}")
     items = tuple(items)
     if vtype == "additive":
         rows = _entries(valuation, "matrix")

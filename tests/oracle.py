@@ -5,8 +5,8 @@ Plain scalar loops over all n^m assignments in canonical order, and over
 all m * 2^(m-1) marginals of a general table, on exact ``Fraction``
 values. The vectorized enumeration kernel must agree with them on the
 allocation, the tie count, the canonical-first tie-break and the Pareto
-witness; the integer marginal pass behind ``validate_instance`` and
-``classify_items`` must agree on every error, witness and item split; the
+witness; the one integer marginal pass, in ``classify_items``, and
+``validate_instance`` must agree on every error, witness and item split; the
 integer EF, EF1, EFX, PROP and PROP1 checks must agree on every verdict
 and witness.
 
@@ -58,13 +58,11 @@ def exact_tables(inst):
     ]
 
 
-def validate_instance(inst):
-    """Scan every marginal of a general table in ascending subset order."""
-    if isinstance(inst.valuation, AdditiveValuation):
-        return inst
+def mixed_item(inst):
+    """Scan every marginal of a general table in ascending subset order:
+    the first item found with marginals of both signs, with the first
+    subsets on which its marginal rose and fell, or None."""
     table = general_table(inst.valuation)
-    if table[0] != 0:
-        raise NonzeroEmptySet(table[0])
     m = inst.m
     for j in range(m):
         bit = 1 << j
@@ -79,13 +77,28 @@ def validate_instance(inst):
             elif marginal < 0 and lowering is None:
                 lowering = sub
             if raising is not None and lowering is not None:
-                raise MixedMonotonicity(j, raising, lowering)
+                return j, raising, lowering
+    return None
+
+
+def validate_instance(inst):
+    """The empty-set check, then :func:`mixed_item`."""
+    if isinstance(inst.valuation, AdditiveValuation):
+        return inst
+    empty = general_table(inst.valuation)[0]
+    if empty != 0:
+        raise NonzeroEmptySet(empty)
+    found = mixed_item(inst)
+    if found is not None:
+        raise MixedMonotonicity(*found)
     return inst
 
 
 def classify_items(inst):
     """Goods are items with no negative value (additive) or no negative
-    marginal (general), found by scanning."""
+    marginal (general), found by scanning. A mixed item of a general
+    table counts as a chore here, so compare this with the library only
+    where :func:`mixed_item` finds none."""
     m = inst.m
     if isinstance(inst.valuation, AdditiveValuation):
         goods = []

@@ -288,6 +288,14 @@ def test_audit_rejects_unknown_notion_before_any_check(monkeypatch):
     assert calls == []
 
 
+def test_audit_rejects_a_repeated_notion_before_any_check(monkeypatch):
+    calls = []
+    monkeypatch.setitem(_CHECKS, "ef", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="notion 'ef' is repeated"):
+        audit(MNW2, CIRCLED2, ("ef", "prop", "ef"))
+    assert calls == []
+
+
 def test_implication_chains():
     # EF implies EFX implies EF1; PROP implies PROP1; additive EF implies PROP
     rng = random.Random(11)

@@ -251,6 +251,33 @@ def test_instance_structural_checks():
         Instance(1, ("a", "b"), GeneralIdenticalValuation.of((Fraction(0), Fraction(1))))
 
 
+@pytest.mark.parametrize(
+    "agents, items, rows",
+    [
+        (2.0, ("a",), 2),  # a float agent count that matches the row count
+        (True, ("a",), 1),  # a bool agent count
+        ("1", ("a",), 1),
+        (1, (1,), 1),  # an item name that is not a string
+        (1, "a", 1),  # items that are not a tuple
+        (1, ["a"], 1),
+    ],
+)
+def test_instance_rejects_agents_that_are_not_an_int_and_items_that_are_not_strings(
+    agents, items, rows
+):
+    with pytest.raises(InvalidInstance):
+        Instance(agents, items, AdditiveValuation.of(((-1,),) * rows))
+
+
+@pytest.mark.parametrize(
+    "agents, assignment",
+    [(2.0, (1,)), (True, (0,)), (2, (1.0,)), (2, (True,)), (2, ("1",))],
+)
+def test_allocation_rejects_agents_and_entries_that_are_not_ints(agents, assignment):
+    with pytest.raises(InvalidAllocation):
+        Allocation(agents, assignment)
+
+
 def test_instance_bundle_helpers():
     inst = additive([(-1, -2, -3)])
     assert inst.n == 1 and inst.m == 3 and inst.full_mask == 0b111

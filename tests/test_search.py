@@ -102,3 +102,11 @@ def test_unknown_method_or_notion_is_rejected_before_any_solve(
     with pytest.raises(ValueError, match="unknown"):
         search_counterexamples(chores_cfg(), method, notions, trials)
     assert solves == []
+
+
+def test_a_repeated_notion_is_rejected_before_any_solve(monkeypatch):
+    # Each violation would otherwise be reported once per repetition. Any
+    # solve would call None and fail with a TypeError.
+    monkeypatch.setattr(search, "solve_with_method", None)
+    with pytest.raises(ValueError, match="notion 'ef' is repeated"):
+        search_counterexamples(chores_cfg(), "mnw-prime", ("ef", "ef"), trials=30)

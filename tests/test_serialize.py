@@ -74,6 +74,7 @@ def test_general_item_cap():
         lambda d: d["valuation"].pop("type"),
         lambda d: d["valuation"].update(type="mystery"),
         lambda d: d.update(agents=True),
+        lambda d: d.update(agents=2.0),
         lambda d: d.update(items=["a", 3]),
         lambda d: d.update(items="ab"),
         lambda d: d["valuation"].pop("matrix"),
