@@ -5,7 +5,22 @@ all n^m allocations, mnw-constrained builds the Pareto frontier one item
 at a time, both under a configurable cap on n^m, and alg-identical is a
 greedy that searches nothing. Fairness checks return re-verifiable
 witnesses; seeded generators and pinned fixtures make results reproducible.
+
+fairdiv computes on int64 arrays and Python integers only and never calls
+BLAS, yet numpy's OpenBLAS starts one thread per core on load, and those
+threads spin idle and cost CPU in every short ``fairdiv`` process. So when
+importing fairdiv is what loads numpy, fairdiv first sets
+``OPENBLAS_NUM_THREADS=1``. To keep other settings, set
+``OPENBLAS_NUM_THREADS`` yourself, which fairdiv leaves as it is, or import
+numpy before fairdiv, which leaves the environment untouched.
 """
+
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules:
+    _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+del _os, _sys
 
 from .audit import (
     NOTIONS,

@@ -339,14 +339,26 @@ _CHECKS = {
 NOTIONS = tuple(_CHECKS)
 
 
-def require_notions(notions) -> None:
-    """Raise ``ValueError`` on the first name that is not a notion or
-    that repeats an earlier one; ``notions`` is a tuple."""
+def require_notions(notions) -> tuple[str, ...]:
+    """``notions`` as a tuple of notion names.
+
+    Raises ``ValueError`` on a bare string, on an empty collection, and on
+    the first entry that is not a string, not a notion, or a repeat of an
+    earlier one.
+    """
+    if isinstance(notions, str):
+        raise ValueError(f"notions must be a collection of names, not the string {notions!r}")
+    notions = tuple(notions)
+    if not notions:
+        raise ValueError("no notions to check")
     for k, notion in enumerate(notions):
+        if not isinstance(notion, str):
+            raise ValueError(f"notion {notion!r} is not a string")
         if notion not in _CHECKS:
             raise ValueError(f"unknown notion {notion!r}")
         if notion in notions[:k]:
             raise ValueError(f"notion {notion!r} is repeated")
+    return notions
 
 
 @dataclass(frozen=True)
@@ -387,13 +399,14 @@ def audit(
 ) -> FairnessReport:
     """Run the requested checks and collect one verdict per notion.
 
-    An unknown or repeated notion raises ``ValueError`` before any check
-    runs. A check whose search space exceeds the cap is reported as
-    not-applicable rather than aborting the whole audit.
+    Notions that :func:`require_notions` refuses (a bare string, none at
+    all, or an entry that is not a string, unknown or repeated) raise
+    ``ValueError`` before any check runs. A check whose search space
+    exceeds the cap is reported as not-applicable rather than aborting the
+    whole audit.
     """
     require_allocation(inst, alloc)
-    notions = tuple(notions)
-    require_notions(notions)
+    notions = require_notions(notions)
     results = []
     for notion in notions:
         try:

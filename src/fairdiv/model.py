@@ -11,6 +11,7 @@ is integer arithmetic.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -466,7 +467,6 @@ def validate_instance(inst: Instance) -> Instance:
     return inst
 
 
-@lru_cache(maxsize=1)
 def classify_items(inst: Instance) -> ItemClassification:
     """Split items into goods and chores for each agent.
 
@@ -481,10 +481,20 @@ def classify_items(inst: Instance) -> ItemClassification:
     Each marginal is compared once on :func:`scaled_table`, viewed as
     (-1, 2, 2^j): every subset without j (slot 0) sits next to the same
     subset with j (slot 1), both in ascending order. Comparing instead of
-    subtracting keeps int64 entries from overflowing. Only the last
-    instance is cached: every command and search trial works on one at a
-    time, and a larger cache would keep old instances alive.
+    subtracting keeps int64 entries from overflowing.
+
+    Only the last instance's split is cached, since every command and
+    search trial works on one at a time, and the cache holds the instance
+    by weak reference, so it never keeps a finished instance alive. The
+    reference also keeps the instance's hash, so a hit on the same
+    instance does not hash its valuation again.
     """
+    return _classify_items(weakref.ref(inst))
+
+
+@lru_cache(maxsize=1)
+def _classify_items(ref: weakref.ref) -> ItemClassification:
+    inst = ref()
     if isinstance(inst.valuation, AdditiveValuation):
         goods = []
         for row in inst.valuation.scaled:
@@ -509,6 +519,10 @@ def classify_items(inst: Instance) -> ItemClassification:
     return ItemClassification(
         goods=tuple(goods), chores=tuple(full & ~g for g in goods)
     )
+
+
+# The one cache's hits and misses, as lru_cache counts them.
+classify_items.cache_info = _classify_items.cache_info
 
 
 def scaled_value(inst: Instance, agent: int, bundle: Bundle) -> int:

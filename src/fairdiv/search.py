@@ -73,16 +73,16 @@ def search_counterexamples(
 ) -> SearchReport:
     """Audit ``method`` over ``trials`` generated instances.
 
-    ``trials`` must not be negative. An unknown method, or an unknown or
-    repeated notion, raises ``ValueError`` before the first trial.
+    ``trials`` must not be negative. An unknown method, or notions that
+    :func:`~fairdiv.audit.require_notions` refuses, raise ``ValueError``
+    before the first trial.
     Notions whose check exceeds the search cap are reported as
     not-applicable by the audit and never counted as violations.
     """
     if trials < 0:
         raise ValueError(f"trials cannot be negative, got {trials}")
-    notions = tuple(notions)
     require_method(method)
-    require_notions(notions)
+    notions = require_notions(notions)
     rng = random.Random(config.seed)
     trial_seeds = [rng.randrange(2**63) for _ in range(trials)]
     violations = []

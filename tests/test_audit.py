@@ -296,6 +296,24 @@ def test_audit_rejects_a_repeated_notion_before_any_check(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "notions, message",
+    [
+        ("ef", "not the string 'ef'"),
+        ((["ef"],), r"notion \['ef'\] is not a string"),
+        (("ef", 1), "notion 1 is not a string"),
+        ((), "no notions to check"),
+        ([], "no notions to check"),
+    ],
+)
+def test_audit_rejects_a_string_a_non_string_or_no_notion(monkeypatch, notions, message):
+    calls = []
+    monkeypatch.setitem(_CHECKS, "ef", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=message):
+        audit(MNW2, CIRCLED2, notions)
+    assert calls == []
+
+
 def test_implication_chains():
     # EF implies EFX implies EF1; PROP implies PROP1; additive EF implies PROP
     rng = random.Random(11)

@@ -304,6 +304,21 @@ def test_a_repeated_notion_exits_two(tmp_path):
         assert res.stderr == "error: notion 'ef' is repeated\n"
 
 
+@pytest.mark.parametrize("notions", ["", " , "])
+def test_no_notion_exits_two(tmp_path, notions):
+    inst, instance_path = write_instance(tmp_path, "mnw2")
+    allocation_path = write_allocation(tmp_path, inst, (0, 0, 0, 1, 2))
+    generator = ["--family", "additive-chores", "--agents", "3", "--items", "5", "--seed", "3"]
+    for args in (
+        ["audit", "--instance", instance_path, "--allocation", allocation_path],
+        ["search", *generator, "--method", "mnw-prime", "--trials", "5"],
+    ):
+        res = runner.invoke(main, [*args, "--notions", notions])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: no notions to check\n"
+
+
 def test_missing_file_and_invalid_json_exit_two(tmp_path):
     res = runner.invoke(
         main, ["solve", "--instance", str(tmp_path / "nope.json"), "--method", "leximin"]

@@ -1,7 +1,9 @@
 """Core model: exact parsing and rendering, validation, classification,
 bundle values, rescaling and the aversion view."""
 
+import gc
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -385,6 +387,23 @@ def test_classify_additive_general_agreement(weights):
     ]
     induced = general(1, table)
     assert classify_items(row).goods == classify_items(induced).goods
+
+
+def test_classify_cache_hits_equal_instances_and_frees_finished_ones():
+    inst = general(2, (0, 2, -1, 1))
+    before = classify_items.cache_info().misses
+    cls = classify_items(inst)
+    assert classify_items(inst) is cls
+    assert classify_items(general(2, (0, 2, -1, 1))) is cls
+    assert classify_items.cache_info().misses == before + 1
+    # the cache holds the instance weakly: dropping the last reference
+    # frees it, and an equal instance built later is classified afresh
+    gone = weakref.ref(inst)
+    del inst
+    gc.collect()
+    assert gone() is None
+    assert classify_items(general(2, (0, 2, -1, 1))) == cls
+    assert classify_items.cache_info().misses == before + 2
 
 
 # ----------------------------------------------------------------- value

@@ -110,3 +110,19 @@ def test_a_repeated_notion_is_rejected_before_any_solve(monkeypatch):
     monkeypatch.setattr(search, "solve_with_method", None)
     with pytest.raises(ValueError, match="notion 'ef' is repeated"):
         search_counterexamples(chores_cfg(), "mnw-prime", ("ef", "ef"), trials=30)
+
+
+@pytest.mark.parametrize(
+    "notions, message",
+    [
+        ("ef", "not the string 'ef'"),
+        ((["ef"],), r"notion \['ef'\] is not a string"),
+        ((), "no notions to check"),
+    ],
+)
+def test_a_string_a_non_string_or_no_notion_is_rejected_before_any_solve(
+    monkeypatch, notions, message
+):
+    monkeypatch.setattr(search, "solve_with_method", None)
+    with pytest.raises(ValueError, match=message):
+        search_counterexamples(chores_cfg(), "mnw-prime", notions, trials=30)
