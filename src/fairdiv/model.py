@@ -182,6 +182,99 @@ def _over_one_scale(pairs) -> tuple[tuple[int, ...], int]:
     return lowest_terms(tuple(a * (common // b) for a, b in zip(numerators, denominators)), common)
 
 
+#: Entries decoded per vectorized step, which bounds the code matrices.
+_DECODE_CHUNK = 8192
+#: The most digits an entry may hold in the vectorized decode: below 10^18,
+#: every numerator, denominator and digit string fits an int64.
+_DECODE_DIGITS = 18
+
+
+def decode_values(entries) -> tuple[tuple[int, ...], int]:
+    """The values :func:`parse_pair` reads from ``entries``, as integers
+    over one scale in :func:`lowest_terms` form.
+
+    The spellings :func:`format_table` writes, ``-?D+(.D+)?`` and
+    ``-?D+/D+`` with at most 18 digits, are decoded in one vectorized
+    pass. If any entry is spelled otherwise or the scaled table would not
+    fit in int64, every entry goes through :func:`parse_pair`, so the
+    result, and the ``ValueError`` of a malformed entry, are its own.
+    """
+    entries = entries if isinstance(entries, list) else list(entries)
+    decoded = _decode_written(entries) if entries else None
+    return decoded or _over_one_scale(map(parse_pair, entries))
+
+
+def _decode_written(entries: list) -> tuple[tuple[int, ...], int] | None:
+    """:func:`decode_values` of a nonempty list in int64, or None when an
+    entry or the table falls outside what that pass decodes exactly."""
+    nums = np.empty(len(entries), np.int64)
+    dens = np.empty(len(entries), np.int64)
+    for start in range(0, len(entries), _DECODE_CHUNK):
+        part = slice(start, start + _DECODE_CHUNK)
+        if not _decode_chunk(entries[part], nums[part], dens[part]):
+            return None
+    # The lcm of the denominators, taken one missing denominator at a time;
+    # each step at least doubles the scale. (np.unique imports numpy.ma,
+    # about 1.7 MB of resident memory.)
+    scale = 1
+    while (missed := scale % dens != 0).any():
+        scale = lcm(scale, int(dens[missed.argmax()]))
+        if scale >= 1 << 63:
+            return None
+    if scale * int(np.abs(nums).max()) >= 1 << 63:
+        return None
+    nums *= scale // dens
+    del dens
+    divisor = gcd(scale, int(np.gcd.reduce(nums)))
+    if divisor > 1:
+        nums //= divisor
+    return tuple(nums.tolist()), scale // divisor
+
+
+def _decode_chunk(chunk: list, nums: np.ndarray, dens: np.ndarray) -> bool:
+    """Write each entry's unreduced numerator and denominator into
+    ``nums`` and ``dens``; False, with nothing promised about them, when
+    some entry is not a ``str`` of the form ``-?D+([./]D*)?`` with at
+    most 18 digits D, or is a ratio whose denominator is empty or 0."""
+    if set(map(type, chunk)) != {str} or max(map(len, chunk)) > _DECODE_DIGITS + 2:
+        return False
+    joined = "".join(chunk)
+    if not joined.isascii():
+        return False
+    # One row per character position. Subtracting '0' turns digits into
+    # 0-9 and '-', '.', '/' into 253-255; the padding NUL becomes 208.
+    codes = np.array(chunk, dtype="S").view(np.uint8).reshape(len(chunk), -1)
+    chars = np.ascontiguousarray(codes.T) - np.uint8(ord("0"))
+    is_digit = chars < 10
+    is_sep = chars >= 254
+    # Counting the allowed characters, a '-' only in front, against the
+    # text's length also catches a NUL, which the byte strings drop.
+    allowed = np.count_nonzero(is_digit | is_sep) + np.count_nonzero(chars[0] == 253)
+    count = np.count_nonzero(is_digit, axis=0)
+    if (
+        allowed != len(joined)
+        or np.count_nonzero(is_sep, axis=0).max() > 1
+        or count.max() > _DECODE_DIGITS
+    ):
+        return False
+    # Horner's rule over the digits, counting those after the separator.
+    digits = np.zeros(len(chunk), np.int64)
+    after = np.zeros(len(chunk), np.int64)
+    seen = np.zeros(len(chunk), bool)
+    for row, digit, sep in zip(chars, is_digit, is_sep):
+        digits = np.where(digit, digits * 10 + row, digits)
+        seen |= sep
+        after += digit & seen
+    if (count <= after).any():
+        return False  # no digit before the separator
+    unit = 10**after
+    ratio = (chars == 255).any(axis=0)
+    num = np.where(ratio, digits // unit, digits)
+    dens[:] = np.where(ratio, digits % unit, unit)
+    nums[:] = np.where(chars[0] == 253, -num, num)
+    return bool(dens.all())
+
+
 def _is_int(x) -> bool:
     """Whether ``x`` is an ``int`` and not a ``bool``."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -254,15 +347,9 @@ class GeneralIdenticalValuation:
 
     @classmethod
     def of(cls, values) -> "GeneralIdenticalValuation":
-        """The table of exact values, as :func:`parse_pair` reads them, by bitmask."""
-        return cls.from_pairs(map(parse_pair, values))
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "GeneralIdenticalValuation":
-        """The table of values given as (numerator, denominator) pairs,
-        denominators positive, listed in bundle-bitmask order. Only the
-        integers are kept while ``pairs`` is read."""
-        return cls(*_over_one_scale(pairs))
+        """The table of exact values, as :func:`parse_pair` reads them, by
+        bitmask (see :func:`decode_values`)."""
+        return cls(*decode_values(values))
 
 
 Valuation = Union[AdditiveValuation, GeneralIdenticalValuation]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import islice
 
 from .errors import InvalidAllocation, InvalidInstance
 from .model import (
@@ -18,7 +19,6 @@ from .model import (
     Instance,
     format_table,
     format_value,
-    parse_pair,
     validate_instance,
 )
 
@@ -56,10 +56,10 @@ def _entries(valuation: dict, key: str) -> list:
     return entries
 
 
-def _pairs(entries):
-    """Each entry's :func:`parse_pair` in turn, a malformed one ending the read."""
+def _read(build, entries):
+    """``build(entries)``, a malformed value entry ending the read."""
     try:
-        yield from map(parse_pair, entries)
+        return build(entries)
     except ValueError as exc:
         raise InvalidInstance(f"malformed value entry: {exc}") from None
 
@@ -80,16 +80,14 @@ def _parse_instance(data: dict) -> Instance:
         rows = _entries(valuation, "matrix")
         if not all(isinstance(row, list) for row in rows):
             raise InvalidInstance("additive matrix rows must be lists")
-        model = AdditiveValuation.from_pairs(_pairs(row) for row in rows)
+        model = _read(AdditiveValuation.of, rows)
     elif vtype == "general-identical":
         if len(items) > MAX_GENERAL_ITEMS:
             raise InvalidInstance(
                 f"general-identical instances are capped at "
                 f"{MAX_GENERAL_ITEMS} items, got {len(items)}"
             )
-        model = GeneralIdenticalValuation.from_pairs(
-            _pairs(_entries(valuation, "table"))
-        )
+        model = _read(GeneralIdenticalValuation.of, _entries(valuation, "table"))
     else:
         raise InvalidInstance(f"unknown valuation type {vtype!r}")
     return Instance(agents=agents, items=items, valuation=model)
@@ -136,10 +134,25 @@ def objective_vector_to_list(vector) -> list:
     return out
 
 
-def dumps(document: dict) -> str:
+#: Encoder chunks joined per ``write`` call by :func:`dump`.
+_DUMP_BATCH = 4096
+
+
+def dump(document, write) -> None:
+    """Pass the text of :func:`dumps` to ``write`` in pieces, so that the
+    encoder's small chunks never pile up all at once."""
+    chunks = json.JSONEncoder(indent=2).iterencode(document)
+    for first in chunks:
+        write(first + "".join(islice(chunks, _DUMP_BATCH - 1)))
+    write("\n")
+
+
+def dumps(document) -> str:
     """Canonical JSON rendering: fixed key order, two-space indent, one
     trailing newline."""
-    return json.dumps(document, indent=2) + "\n"
+    parts = []
+    dump(document, parts.append)
+    return "".join(parts)
 
 
 def instance_to_json(inst: Instance) -> str:

@@ -7,6 +7,7 @@ import pytest
 from conftest import additive, general
 from fairdiv import (
     Allocation,
+    GeneratorConfig,
     InvalidAllocation,
     InvalidInstance,
     MixedMonotonicity,
@@ -15,11 +16,13 @@ from fairdiv import (
     allocation_to_dict,
     allocation_to_json,
     fixture_instance,
+    generate,
     instance_from_dict,
     instance_from_json,
     instance_to_dict,
     instance_to_json,
 )
+from fairdiv.serialize import dump, dumps
 
 
 def test_additive_instance_round_trip():
@@ -133,3 +136,11 @@ def test_serialization_is_deterministic():
     assert instance_to_json(inst) == instance_to_json(inst)
     assert instance_to_json(inst).endswith("\n")
     json.loads(instance_to_json(inst))
+
+
+def test_dump_writes_the_text_of_dumps_in_pieces():
+    document = instance_to_dict(generate(GeneratorConfig(2, 12, "general-identical", 2)))
+    parts = []
+    dump(document, parts.append)
+    assert len(parts) > 2
+    assert "".join(parts) == dumps(document) == json.dumps(document, indent=2) + "\n"
