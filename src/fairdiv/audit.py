@@ -33,6 +33,7 @@ from .enumeration import (
     AllocationRows,
     assignment_at,
     assignment_index,
+    contribution_matrix,
     guard_search_space,
 )
 from .errors import SearchSpaceTooLarge
@@ -315,7 +316,7 @@ def check_PO(inst: Instance, alloc: Allocation, max_space: int | None = None) ->
     require_allocation(inst, alloc)
     n = inst.agents
     guard_search_space(n, inst.m, max_space)
-    rows = AllocationRows(inst)
+    rows = AllocationRows(*contribution_matrix(inst))
     base = rows.row(assignment_index(n, alloc.assignment))
     for start, chunk in rows.chunks():
         better = (chunk >= base).all(axis=1) & (chunk > base).any(axis=1)

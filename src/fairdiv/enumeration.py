@@ -13,9 +13,9 @@ every agent's sum of per-item integer contributions. The allocation at
 canonical index h * n^(m-k) + s has the row prefix[h] + suffix[s], so
 streaming ``prefix[h0:h1, None] + suffix`` chunk by chunk, each chunk a
 run of whole prefixes, visits the allocations in canonical order and
-keeps "first optimum wins" and every tie count. General-identical
-valuations are not additive: their blocks also carry bundle masks, which
-are OR-ed and looked up in the scaled 2^m value table.
+keeps "first optimum wins" and every tie count. Entries that are not
+additive (a general table, the ranks of custom objectives) come from an
+n x 2^m lookup: the blocks also carry bundle masks, OR-ed per agent.
 
 Exactness: every entry is an integer under one common positive scale (the
 least common multiple of all denominators), never a float. The blocks are
@@ -89,15 +89,16 @@ def scaled_value_tables(inst: Instance) -> tuple[tuple[tuple[int, ...], ...], in
 def contribution_matrix(
     inst: Instance, weight: int = 1, extra=None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """What each item adds to each agent's row entry, as an n x m integer
-    matrix, and the bundle lookup of a general table (None if additive).
+    """The :class:`AllocationRows` arguments of an instance: what each item
+    adds to each agent's row entry, as an n x m integer matrix, and the
+    n x 2^m bundle lookup of a general table (None if additive).
 
     Additive entries are ``weight`` times the scaled value plus
     ``extra[i][j]``; a general table gets ``extra`` alone and a lookup of
-    ``weight`` times :func:`model.scaled_table`. ``extra`` (optional, n x m
-    integers) carries the leximin solvers' goods and chores counts. Both
-    arrays are int64 only when n times the largest possible row entry is
-    below :data:`INT64_LIMIT`, and hold Python integers otherwise.
+    ``weight`` times :func:`model.scaled_table`, one row for all agents.
+    ``extra`` (optional, n x m integers) holds leximin's goods and chores
+    counts. Both arrays are int64 only when n times the largest possible
+    row entry is below :data:`INT64_LIMIT`; otherwise Python integers.
     """
     n, m = inst.agents, inst.m
     if extra is None:
@@ -117,7 +118,7 @@ def contribution_matrix(
     dtype = np.int64 if n * bound < INT64_LIMIT else object
     contributions = np.array(contributions, dtype=dtype).reshape(n, m)
     if lookup is not None:
-        lookup = lookup.astype(dtype, copy=False) * weight
+        lookup = np.broadcast_to(lookup.astype(dtype, copy=False) * weight, (n, 1 << m))
     return contributions, lookup
 
 
@@ -143,23 +144,21 @@ def _block(contributions: np.ndarray) -> np.ndarray:
 
 
 class AllocationRows:
-    """Every allocation of an instance as one integer row, in canonical
-    order.
+    """Every allocation as one integer row, in canonical order.
 
-    Entry i of an allocation's row is ``weight * v_i(A_i)`` plus the sum
-    of ``extra[i][j]`` over the items j in A_i, with v_i the bundle value
-    of :func:`model.scaled_value`; see :func:`contribution_matrix`.
+    Entry i of an allocation's row is the sum of ``contributions[i, j]``
+    over the items j in A_i, plus ``lookup[i, A_i]`` when an n x 2^m
+    bundle lookup is given; see :func:`contribution_matrix`.
     """
 
-    def __init__(self, inst: Instance, weight: int = 1, extra=None):
-        n, m = inst.agents, inst.m
-        self.n = n
-        self.contributions, self.lookup = contribution_matrix(inst, weight, extra)
+    def __init__(self, contributions: np.ndarray, lookup: np.ndarray | None = None):
+        self.n, m = contributions.shape
+        self.lookup = lookup
         k = m // 2
-        self.prefix = _block(self.contributions[:, :k])
-        self.suffix = _block(self.contributions[:, k:])
-        if self.lookup is not None:
-            bits = np.array([[1 << j for j in range(m)]] * n, dtype=np.int64)
+        self.prefix = _block(contributions[:, :k])
+        self.suffix = _block(contributions[:, k:])
+        if lookup is not None:
+            bits = np.array([[1 << j for j in range(m)]] * self.n, dtype=np.int64)
             self.prefix_masks = _block(bits[:, :k])
             self.suffix_masks = _block(bits[:, k:])
 
@@ -167,7 +166,7 @@ class AllocationRows:
         rows = self.prefix[prefixes, None] + self.suffix[None, suffixes]
         if self.lookup is not None:
             masks = self.prefix_masks[prefixes, None] | self.suffix_masks[None, suffixes]
-            rows = rows + self.lookup[masks]
+            rows = rows + self.lookup[np.arange(self.n), masks]
         return rows.reshape(-1, self.n)
 
     def chunks(self):

@@ -17,7 +17,7 @@ Built-in specs, with v the agent's value, G/C her goods and chores:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,6 +25,7 @@ import numpy as np
 from .enumeration import (
     AllocationRows,
     assignment_at,
+    contribution_matrix,
     guard_search_space,
     lex_argmax,
 )
@@ -48,7 +49,9 @@ class ObjectiveSpec:
     """A named family of per-agent objective tuples.
 
     ``custom`` carries a user function (inst, agent, bundle) -> tuple for
-    the custom kind; the built-in kinds ignore it.
+    the custom kind; the built-in kinds ignore it. :func:`leximin_solve`
+    calls it once per (agent, bundle) in agent, then bundle-mask order:
+    n * 2^m calls, or one on the full bundle when n = 1.
     """
 
     kind: str
@@ -65,6 +68,8 @@ class ObjectiveSpec:
             raise ValueError(f"unknown objective kind {self.kind!r}")
         if (self.kind == self.CUSTOM) != (self.custom is not None):
             raise ValueError("custom objectives, and only them, need a function")
+        if self.custom is not None and not callable(self.custom):
+            raise ValueError(f"custom objective {self.custom!r} is not callable")
 
 
 UTILITY = ObjectiveSpec(ObjectiveSpec.UTILITY)
@@ -130,18 +135,22 @@ def precedes(inst: Instance, spec: ObjectiveSpec, a: Allocation, b: Allocation) 
     return sorted_objectives(inst, spec, a) < sorted_objectives(inst, spec, b)
 
 
-def _objective_rows(inst: Instance, spec: ObjectiveSpec) -> AllocationRows:
-    """Each agent's built-in objective tuple packed into one integer: the
-    scaled value, then the :func:`_counts` as base-(m+1) digits. Counts add
-    up over items, so each item adds the packed counts of its one-item
-    bundle; two bundles' counts differ by at most m, so integer order on
-    the keys is lexicographic order on the tuples.
+def _objective_rows(inst: Instance, spec: ObjectiveSpec):
+    """(Rows ordering like the objective tuples, (agent, bundle) -> tuple).
+
+    A built-in tuple is packed into one integer: the scaled value, then
+    the :func:`_counts` as base-(m+1) digits. Counts add up over items, so
+    each item adds the packed counts of its one-item bundle; two bundles'
+    counts differ by at most m, so integer order on the keys is
+    lexicographic order on the tuples.
 
     Base m would be exact too, so no test can tell the two apart. On a
     validated instance a bundle made only of an agent's goods is worth at
     least 0 to that agent, and one made only of its chores at most 0. Only
     counts m apart, which come from such bundles, could overflow base m,
     and their values already order them."""
+    if spec.kind == ObjectiveSpec.CUSTOM:
+        return _rank_rows(inst, spec)
     base = inst.m + 1
     counts = _counts(inst, spec)
 
@@ -152,22 +161,25 @@ def _objective_rows(inst: Instance, spec: ObjectiveSpec) -> AllocationRows:
         return key
 
     extra = [[packed(i, 1 << j) for j in range(inst.m)] for i in range(inst.agents)]
-    return AllocationRows(inst, base ** len(counts(0, 0)), extra)
+    matrix = contribution_matrix(inst, base ** len(counts(0, 0)), extra)
+    return AllocationRows(*matrix), partial(objective, inst, spec)
 
 
-def _custom_argmax(inst: Instance, spec: ObjectiveSpec) -> tuple[int, int]:
-    """(canonical index of the first optimum, tie count) for a custom
-    spec, whose objective only its Python function can evaluate."""
-    best = None
-    first = None
-    ties = 0
-    for index, assignment in enumerate(product(range(inst.agents), repeat=inst.m)):
-        key = sorted_objectives(inst, spec, Allocation(inst.agents, assignment))
-        if best is None or key > best:
-            best, first, ties = key, index, 1
-        elif key == best:
-            ties += 1
-    return first, ties
+def _rank_rows(inst: Instance, spec: ObjectiveSpec):
+    """:func:`_objective_rows` of a custom spec: each (agent, bundle) tuple
+    is replaced by its rank among all of them, equal sorted neighbours
+    sharing one, so sorted rank rows compare as the sorted tuples do. With
+    one agent only the full bundle is evaluated; its rank fills the row."""
+    n, m = inst.agents, inst.m
+    bundles = range(1 << m) if n > 1 else [inst.full_mask]
+    tuples = [objective(inst, spec, i, bundle) for i in range(n) for bundle in bundles]
+    order = sorted(range(len(tuples)), key=tuples.__getitem__)
+    ranks = [0] * len(tuples)
+    for before, index in zip(order, order[1:]):
+        ranks[index] = ranks[before] + (tuples[before] != tuples[index])
+    lookup = np.broadcast_to(np.array(ranks, dtype=np.int64).reshape(n, -1), (n, 1 << m))
+    rows = AllocationRows(np.zeros((n, m), dtype=np.int64), lookup)
+    return rows, lambda agent, bundle: tuples[agent * len(bundles) + bundles.index(bundle)]
 
 
 def leximin_solve(
@@ -183,19 +195,11 @@ def leximin_solve(
     optimal sorted objective vector.
     """
     size = guard_search_space(inst.agents, inst.m, max_space)
-    if spec.kind == ObjectiveSpec.CUSTOM:
-        first, ties = _custom_argmax(inst, spec)
-    else:
-        rows = _objective_rows(inst, spec)
-        first, _key, ties = lex_argmax(rows, lambda chunk: np.sort(chunk, axis=1).T)
+    rows, objective_of = _objective_rows(inst, spec)
+    first, _key, ties = lex_argmax(rows, lambda chunk: np.sort(chunk, axis=1).T)
     allocation = Allocation(inst.agents, assignment_at(inst.agents, inst.m, first))
-    return SolveResult(
-        allocation=allocation,
-        objective_vector=sorted_objectives(inst, spec, allocation),
-        score=None,
-        tie_count=ties,
-        search_space=size,
-    )
+    tuples = map(objective_of, range(inst.agents), allocation.bundles())
+    return SolveResult(allocation, tuple(sorted(tuples)), None, ties, size)
 
 
 def is_leximin_optimal(
@@ -210,5 +214,5 @@ def is_leximin_optimal(
     when it does not rank below the solver's optimum.
     """
     require_allocation(inst, alloc)
-    best = leximin_solve(inst, spec, max_space).allocation
-    return not precedes(inst, spec, alloc, best)
+    best = leximin_solve(inst, spec, max_space).objective_vector
+    return not sorted_objectives(inst, spec, alloc) < best

@@ -437,6 +437,8 @@ class Allocation:
     def __post_init__(self):
         if not _is_int(self.agents):
             raise InvalidAllocation(f"agents must be an integer, got {self.agents!r}")
+        if not isinstance(self.assignment, tuple):
+            raise InvalidAllocation(f"assignment must be a tuple, got {self.assignment!r}")
         for j, agent in enumerate(self.assignment):
             if not _is_int(agent) or not 0 <= agent < self.agents:
                 raise InvalidAllocation(

@@ -101,12 +101,12 @@ def mnw_prime_solve(inst: Instance, max_space: int | None = None) -> SolveResult
     """
     require_chores_only(inst)
     guard_search_space(inst.agents, inst.m, max_space)
-    rows = AllocationRows(inst)
-    totals = rows.contributions.sum(axis=1)
+    contributions, _lookup = contribution_matrix(inst)
+    totals = contributions.sum(axis=1)
     # chores only: 0 <= v_i(A_i) - v_i(M) <= -v_i(M)
     bound = int(-totals.min())
     first, _key, ties = lex_argmax(
-        rows, lambda chunk: _nash_columns(chunk - totals, bound)
+        AllocationRows(contributions), lambda chunk: _nash_columns(chunk - totals, bound)
     )
     return _nash_result(inst, first, ties, lambda alloc: nash_prime_factors(inst, alloc))
 

@@ -37,6 +37,32 @@ from fairdiv.welfare import _pareto_frontier
 
 SPECS = tuple(SPEC_NAMES.values())
 
+
+def _spread(inst, agent, bundle):
+    # value first, then fewer items is better
+    return (value(inst, agent, bundle), -bundle.bit_count())
+
+
+def _coarse(inst, agent, bundle):
+    # heavy ties: only the sign of the value and the parity of the size
+    worth = value(inst, agent, bundle)
+    return ((worth > 0) - (worth < 0), bundle.bit_count() % 2)
+
+
+def _unhashable(inst, agent, bundle):
+    # a list entry: equal tuples must be found without hashing
+    return (bundle.bit_count() // 2, [value(inst, agent, bundle) >= 0])
+
+
+def _ragged(inst, agent, bundle):
+    # tuples of two lengths, where (v,) ranks below (v, agent)
+    return (min(value(inst, agent, bundle), 1),) + (agent,) * (bundle.bit_count() % 2)
+
+
+CUSTOM_SPECS = tuple(
+    ObjectiveSpec(ObjectiveSpec.CUSTOM, fn) for fn in (_spread, _coarse, _unhashable, _ragged)
+)
+
 #: Chunk sizes: one prefix per chunk, a few prefixes, and the default.
 BUDGETS = st.sampled_from([1, 7, enumeration.ROW_BUDGET])
 
@@ -196,11 +222,13 @@ PACKING_INSTANCES = (
 )
 
 
-@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("spec", SPECS + CUSTOM_SPECS[:2])
 def test_packed_row_entries_order_like_objective_tuples(spec):
+    # a custom spec's entries are the ranks of its tuples; the pairs are
+    # hashed here, so only the specs with hashable tuples take part
     for inst in PACKING_INSTANCES:
         pairs = set()
-        for start, chunk in _objective_rows(inst, spec).chunks():
+        for start, chunk in _objective_rows(inst, spec)[0].chunks():
             for index, row in enumerate(chunk.tolist(), start):
                 alloc = Allocation(inst.agents, assignment_at(inst.agents, inst.m, index))
                 for agent, bundle in enumerate(alloc.bundles()):
@@ -252,16 +280,19 @@ def test_check_PO_matches_oracle(case, rows):
         assert_po_matches(*case)
 
 
-def _spread(inst, agent, bundle):
-    # a custom objective: value first, then fewer items is better
-    return (value(inst, agent, bundle), -bundle.bit_count())
-
-
-@settings(max_examples=15)
-@given(additive_instances().filter(lambda inst: inst.agents**inst.m <= 729))
-def test_custom_spec_matches_oracle(inst):
-    spec = ObjectiveSpec(ObjectiveSpec.CUSTOM, _spread)
-    assert_leximin_matches(inst, spec)
+@settings(max_examples=60)
+@given(with_allocation(INSTANCES), st.sampled_from(CUSTOM_SPECS), BUDGETS)
+@example((additive([(-1, 2, Fraction(1, 3))]), Allocation(1, (0, 0, 0))), CUSTOM_SPECS[0], 1)
+@example((additive([()] * 3), Allocation(3, ())), CUSTOM_SPECS[2], 1)
+@example((general(3, (0,)), Allocation(3, ())), CUSTOM_SPECS[3], 7)
+def test_custom_spec_matches_oracle(case, spec, rows):
+    # n = 1 and m = 0 as explicit examples, general tables among the draws
+    inst, alloc = case
+    with budget(rows):
+        assert_leximin_matches(inst, spec)
+        assert is_leximin_optimal(inst, spec, alloc) == oracle.is_leximin_optimal(
+            inst, spec, alloc
+        )
 
 
 def test_single_agent_and_no_items():
@@ -331,7 +362,7 @@ def test_tied_optima_straddle_a_chunk_boundary():
     # which a one-prefix chunk puts in different chunks
     inst = additive([(1, 1), (1, 1)])
     with budget(1):
-        assert len(list(AllocationRows(inst).chunks())) == 2
+        assert len(list(AllocationRows(*contribution_matrix(inst)).chunks())) == 2
         res = leximin_solve(inst)
         assert res.allocation.assignment == (0, 1)
         assert res.tie_count == 2

@@ -21,6 +21,7 @@ from fairdiv import (
     objective,
     precedes,
     sorted_objectives,
+    value,
 )
 
 TABLE1 = fixture_instance("table1")
@@ -59,6 +60,8 @@ def test_spec_validation():
         ObjectiveSpec("egalitarian")
     with pytest.raises(ValueError):
         ObjectiveSpec(ObjectiveSpec.CUSTOM)
+    with pytest.raises(ValueError):
+        ObjectiveSpec(ObjectiveSpec.CUSTOM, 42)
     with pytest.raises(ValueError):
         ObjectiveSpec(ObjectiveSpec.UTILITY, lambda inst, i, s: ())
 
@@ -173,6 +176,26 @@ def test_constant_custom_objective_ties_everything():
     res = leximin_solve(inst, spec)
     assert res.tie_count == 4
     assert res.allocation.assignment == (0, 0)
+
+
+def test_custom_function_is_called_once_per_agent_and_bundle():
+    calls = []
+
+    def counted(inst, agent, bundle):
+        calls.append((agent, bundle))
+        return (value(inst, agent, bundle),)
+
+    spec = ObjectiveSpec(ObjectiveSpec.CUSTOM, counted)
+    for inst in (additive([(1, -2, 3), (2, 2, -1), (0, 1, 1)]), general(2, (0, 1, 2, 2))):
+        calls.clear()
+        leximin_solve(inst, spec)
+        assert calls == [(i, s) for i in range(inst.agents) for s in range(1 << inst.m)]
+    # one agent has one allocation, so only its full bundle is evaluated
+    calls.clear()
+    res = leximin_solve(additive([(1, -2, 3)]), spec)
+    assert calls == [(0, 0b111)]
+    assert res.objective_vector == ((Fraction(2),),)
+    assert res.tie_count == 1
 
 
 def test_leximin_solve_guard():

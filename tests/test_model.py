@@ -280,6 +280,13 @@ def test_allocation_rejects_agents_and_entries_that_are_not_ints(agents, assignm
         Allocation(agents, assignment)
 
 
+@pytest.mark.parametrize("assignment", [[0, 1], range(2), iter((0, 1)), None])
+def test_allocation_requires_a_tuple_assignment(assignment):
+    # a list would make an unhashable allocation unequal to its tuple twin
+    with pytest.raises(InvalidAllocation):
+        Allocation(2, assignment)
+
+
 def test_instance_bundle_helpers():
     inst = additive([(-1, -2, -3)])
     assert inst.n == 1 and inst.m == 3 and inst.full_mask == 0b111
