@@ -30,9 +30,8 @@ from typing import Optional
 import numpy as np
 
 from .enumeration import (
-    AllocationRows,
+    allocation_chunks,
     assignment_at,
-    assignment_index,
     contribution_matrix,
     guard_search_space,
 )
@@ -316,9 +315,8 @@ def check_PO(inst: Instance, alloc: Allocation, max_space: int | None = None) ->
     require_allocation(inst, alloc)
     n = inst.agents
     guard_search_space(n, inst.m, max_space)
-    rows = AllocationRows(*contribution_matrix(inst))
-    base = rows.row(assignment_index(n, alloc.assignment))
-    for start, chunk in rows.chunks():
+    base = [scaled_value(inst, i, mask) for i, mask in enumerate(alloc.bundles())]
+    for start, chunk in allocation_chunks(*contribution_matrix(inst)):
         better = (chunk >= base).all(axis=1) & (chunk > base).any(axis=1)
         hits = np.flatnonzero(better)
         if len(hits):

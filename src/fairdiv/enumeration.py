@@ -5,7 +5,7 @@ indices, item 0 being the most significant digit. Ties in any exhaustive
 argmax are broken toward the first optimum in this order, which makes
 every solver deterministic.
 
-:class:`AllocationRows` evaluates all n^m allocations as integer rows with
+:func:`allocation_chunks` yields all n^m allocations as integer rows with
 one entry per agent, by meet in the middle. Items 0..k-1 (k = m // 2) form
 the prefix half and the others the suffix half. Each half gets a block
 with one row per assignment of its items, in canonical order, holding
@@ -63,14 +63,6 @@ def assignment_at(n: int, m: int, index: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def assignment_index(n: int, assignment) -> int:
-    """The position of an assignment in the canonical enumeration."""
-    index = 0
-    for agent in assignment:
-        index = index * n + agent
-    return index
-
-
 # No code in fairdiv calls this or :func:`scaled_value_tables`. Both stay
 # only because perfbench/spans.py binds them by name; delete them with that.
 def exact_value_tables(inst: Instance) -> tuple[tuple[Fraction, ...], ...]:
@@ -89,7 +81,7 @@ def scaled_value_tables(inst: Instance) -> tuple[tuple[tuple[int, ...], ...], in
 def contribution_matrix(
     inst: Instance, weight: int = 1, extra=None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The :class:`AllocationRows` arguments of an instance: what each item
+    """The :func:`allocation_chunks` arguments of an instance: what each item
     adds to each agent's row entry, as an n x m integer matrix, and the
     n x 2^m bundle lookup of a general table (None if additive).
 
@@ -143,44 +135,29 @@ def _block(contributions: np.ndarray) -> np.ndarray:
     return block
 
 
-class AllocationRows:
+def allocation_chunks(contributions: np.ndarray, lookup: np.ndarray | None = None):
     """Every allocation as one integer row, in canonical order.
 
     Entry i of an allocation's row is the sum of ``contributions[i, j]``
     over the items j in A_i, plus ``lookup[i, A_i]`` when an n x 2^m
-    bundle lookup is given; see :func:`contribution_matrix`.
+    bundle lookup is given; see :func:`contribution_matrix`. Yields
+    (canonical index of the first row, rows), covering every allocation
+    once, in chunks of whole prefixes of about :data:`ROW_BUDGET` rows.
     """
-
-    def __init__(self, contributions: np.ndarray, lookup: np.ndarray | None = None):
-        self.n, m = contributions.shape
-        self.lookup = lookup
-        k = m // 2
-        self.prefix = _block(contributions[:, :k])
-        self.suffix = _block(contributions[:, k:])
+    n, m = contributions.shape
+    k = m // 2
+    prefix, suffix = _block(contributions[:, :k]), _block(contributions[:, k:])
+    if lookup is not None:
+        bits = np.array([[1 << j for j in range(m)]] * n, dtype=np.int64)
+        prefix_masks, suffix_masks = _block(bits[:, :k]), _block(bits[:, k:])
+    width = len(suffix)
+    step = max(1, ROW_BUDGET // width)
+    for start in range(0, len(prefix), step):
+        rows = prefix[start : start + step, None] + suffix
         if lookup is not None:
-            bits = np.array([[1 << j for j in range(m)]] * self.n, dtype=np.int64)
-            self.prefix_masks = _block(bits[:, :k])
-            self.suffix_masks = _block(bits[:, k:])
-
-    def _rows(self, prefixes: slice, suffixes: slice) -> np.ndarray:
-        rows = self.prefix[prefixes, None] + self.suffix[None, suffixes]
-        if self.lookup is not None:
-            masks = self.prefix_masks[prefixes, None] | self.suffix_masks[None, suffixes]
-            rows = rows + self.lookup[np.arange(self.n), masks]
-        return rows.reshape(-1, self.n)
-
-    def chunks(self):
-        """Yield (canonical index of the first row, rows), covering every
-        allocation once, in canonical order."""
-        width = len(self.suffix)
-        step = max(1, ROW_BUDGET // width)
-        for start in range(0, len(self.prefix), step):
-            yield start * width, self._rows(slice(start, start + step), slice(None))
-
-    def row(self, index: int) -> np.ndarray:
-        """The row of the allocation at one canonical index."""
-        h, s = divmod(index, len(self.suffix))
-        return self._rows(slice(h, h + 1), slice(s, s + 1))[0]
+            masks = prefix_masks[start : start + step, None] | suffix_masks
+            rows = rows + lookup[np.arange(n), masks]
+        yield start * width, rows.reshape(-1, n)
 
 
 def lex_max(columns) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -196,9 +173,10 @@ def lex_max(columns) -> tuple[np.ndarray, tuple[int, ...]]:
     return hits, tuple(top)
 
 
-def lex_argmax(rows: AllocationRows, columns_of) -> tuple[int, tuple[int, ...], int]:
+def lex_argmax(chunks, columns_of) -> tuple[int, tuple[int, ...], int]:
     """The lexicographic maximum over all allocations of the columns that
-    ``columns_of`` derives from each chunk of rows.
+    ``columns_of`` derives from each chunk of rows, given the
+    :func:`allocation_chunks` of every allocation.
 
     Returns (canonical index of the first maximizer, the maximum, number of
     maximizers).
@@ -206,7 +184,7 @@ def lex_argmax(rows: AllocationRows, columns_of) -> tuple[int, tuple[int, ...], 
     best = None
     first = None
     ties = 0
-    for start, chunk in rows.chunks():
+    for start, chunk in chunks:
         hits, top = lex_max(columns_of(chunk))
         if best is None or top > best:
             best, first, ties = top, start + int(hits[0]), len(hits)

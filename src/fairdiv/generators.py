@@ -32,6 +32,7 @@ from .model import (
     AdditiveValuation,
     GeneralIdenticalValuation,
     Instance,
+    _is_int,
     lowest_terms,
     parse_value,
     rescale_common_total,
@@ -64,7 +65,8 @@ class GeneratorConfig:
     ``weight_max``/``perturb_max`` size the general set functions;
     ``rescale_total`` optionally rescales every agent of an additive
     instance to that common grand-bundle value. ``low``, ``high`` and
-    ``rescale_total`` go through :func:`parse_value`: a float raises ``ValueError``.
+    ``rescale_total`` go through :func:`parse_value`: a float raises ``ValueError``,
+    as does any count that is not an ``int`` (a bool included).
     """
 
     agents: int
@@ -84,6 +86,9 @@ class GeneratorConfig:
                 object.__setattr__(self, name, parse_value(getattr(self, name)))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        for name in ("agents", "items", "denominator", "weight_max", "perturb_max"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
         if self.agents < 1:
             raise ValueError("need at least one agent")
         if self.items < 0:

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .enumeration import (
-    AllocationRows,
+    allocation_chunks,
     assignment_at,
     contribution_matrix,
     guard_search_space,
@@ -136,7 +136,7 @@ def precedes(inst: Instance, spec: ObjectiveSpec, a: Allocation, b: Allocation) 
 
 
 def _objective_rows(inst: Instance, spec: ObjectiveSpec):
-    """(Rows ordering like the objective tuples, (agent, bundle) -> tuple).
+    """(Chunks of rows ordering like the objective tuples, (agent, bundle) -> tuple).
 
     A built-in tuple is packed into one integer: the scaled value, then
     the :func:`_counts` as base-(m+1) digits. Counts add up over items, so
@@ -162,7 +162,7 @@ def _objective_rows(inst: Instance, spec: ObjectiveSpec):
 
     extra = [[packed(i, 1 << j) for j in range(inst.m)] for i in range(inst.agents)]
     matrix = contribution_matrix(inst, base ** len(counts(0, 0)), extra)
-    return AllocationRows(*matrix), partial(objective, inst, spec)
+    return allocation_chunks(*matrix), partial(objective, inst, spec)
 
 
 def _rank_rows(inst: Instance, spec: ObjectiveSpec):
@@ -178,8 +178,8 @@ def _rank_rows(inst: Instance, spec: ObjectiveSpec):
     for before, index in zip(order, order[1:]):
         ranks[index] = ranks[before] + (tuples[before] != tuples[index])
     lookup = np.broadcast_to(np.array(ranks, dtype=np.int64).reshape(n, -1), (n, 1 << m))
-    rows = AllocationRows(np.zeros((n, m), dtype=np.int64), lookup)
-    return rows, lambda agent, bundle: tuples[agent * len(bundles) + bundles.index(bundle)]
+    chunks = allocation_chunks(np.zeros((n, m), dtype=np.int64), lookup)
+    return chunks, lambda agent, bundle: tuples[agent * len(bundles) + bundles.index(bundle)]
 
 
 def leximin_solve(
@@ -195,8 +195,8 @@ def leximin_solve(
     optimal sorted objective vector.
     """
     size = guard_search_space(inst.agents, inst.m, max_space)
-    rows, objective_of = _objective_rows(inst, spec)
-    first, _key, ties = lex_argmax(rows, lambda chunk: np.sort(chunk, axis=1).T)
+    chunks, objective_of = _objective_rows(inst, spec)
+    first, _key, ties = lex_argmax(chunks, lambda chunk: np.sort(chunk, axis=1).T)
     allocation = Allocation(inst.agents, assignment_at(inst.agents, inst.m, first))
     tuples = map(objective_of, range(inst.agents), allocation.bundles())
     return SolveResult(allocation, tuple(sorted(tuples)), None, ties, size)

@@ -23,8 +23,8 @@ from math import prod
 import numpy as np
 
 from .enumeration import (
-    AllocationRows,
     _extend,
+    allocation_chunks,
     assignment_at,
     contribution_matrix,
     guard_search_space,
@@ -74,13 +74,11 @@ def modified_nash_welfare(inst: Instance, alloc: Allocation) -> WelfareScore:
     return _score(nash_prime_factors(inst, alloc))
 
 
-def _nash_columns(factors: np.ndarray, bound: int) -> list[np.ndarray]:
-    """Per row: the number of nonzero factors, then their product.
-
-    ``bound`` caps every factor's absolute value; products that it cannot
-    prove below 2^63 are taken over Python integers.
-    """
-    if max(bound, 1) ** factors.shape[1] >= 2**63:
+def _nash_columns(factors: np.ndarray) -> list[np.ndarray]:
+    """Per row of nonnegative factors: the number of nonzero factors, then
+    their product, over Python integers unless the largest factor proves
+    every product below 2^63."""
+    if max(int(factors.max()), 1) ** factors.shape[1] >= 2**63:
         factors = factors.astype(object)
     nonzero = factors != 0
     return [nonzero.sum(axis=1), np.where(nonzero, factors, 1).prod(axis=1)]
@@ -102,25 +100,24 @@ def mnw_prime_solve(inst: Instance, max_space: int | None = None) -> SolveResult
     require_chores_only(inst)
     guard_search_space(inst.agents, inst.m, max_space)
     contributions, _lookup = contribution_matrix(inst)
+    # chores only: v_i(A_i) - v_i(M) >= 0
     totals = contributions.sum(axis=1)
-    # chores only: 0 <= v_i(A_i) - v_i(M) <= -v_i(M)
-    bound = int(-totals.min())
     first, _key, ties = lex_argmax(
-        AllocationRows(contributions), lambda chunk: _nash_columns(chunk - totals, bound)
+        allocation_chunks(contributions), lambda chunk: _nash_columns(chunk - totals)
     )
     return _nash_result(inst, first, ties, lambda alloc: nash_prime_factors(inst, alloc))
 
 
 def _pareto_front_mask(vectors: np.ndarray) -> np.ndarray:
     """Boolean mask of the non-dominated rows among distinct utility
-    vectors: in :func:`_pareto_frontier`, the candidate partial vectors
-    after each item.
+    vectors in ascending lexicographic order: in :func:`_pareto_frontier`,
+    the candidate partial vectors after each item.
 
-    Rows are processed in batches of descending total. A dominator always
-    has a strictly larger total, so every possible dominator of a row sits
-    in the frontier accumulated from earlier batches or in the same batch
-    with a strictly larger total; domination by any row, dominated or not,
-    already disproves optimality, which keeps both checks one-pass.
+    A dominator of a row is lexicographically greater, so it comes later.
+    Batches are processed from the last row back: every possible dominator
+    of a row sits in the frontier accumulated from later batches or later
+    in the same batch; domination by any row, dominated or not, already
+    disproves optimality, which keeps both checks one-pass.
 
     The frontier is stored one contiguous array per coordinate, so every
     comparison streams contiguous memory, and candidates are checked 64
@@ -130,19 +127,16 @@ def _pareto_front_mask(vectors: np.ndarray) -> np.ndarray:
     runs on a shared 2-core VM.
     """
     count, width = vectors.shape
-    totals = vectors.sum(axis=1)
-    order = np.argsort(-totals, kind="stable")
     keep = np.zeros(count, dtype=bool)
     frontier = np.empty((width, count), dtype=vectors.dtype)
     fcount = 0
-    for start in range(0, count, 512):
-        batch_idx = order[start : start + 512]
-        batch = vectors[batch_idx]
-        batch_totals = totals[batch_idx]
-        alive = np.ones(len(batch_idx), dtype=bool)
+    for stop in range(count, 0, -512):
+        start = max(stop - 512, 0)
+        batch = vectors[start:stop]
+        alive = np.ones(len(batch), dtype=bool)
         if fcount:
             front = frontier[:, :fcount]
-            for s in range(0, len(batch_idx), 64):
+            for s in range(0, len(batch), 64):
                 chunk = batch[s : s + 64]
                 dominated = front[0] >= chunk[:, 0, None]
                 for d in range(1, width):
@@ -151,16 +145,14 @@ def _pareto_front_mask(vectors: np.ndarray) -> np.ndarray:
         if alive.any():
             rows = np.flatnonzero(alive)
             sub = batch[rows].T.copy()
-            sub_totals = batch_totals[rows]
             weakly = sub[0] >= sub[0, :, None]
             for d in range(1, width):
                 weakly &= sub[d] >= sub[d, :, None]
-            weakly &= sub_totals[None, :] > sub_totals[:, None]
-            alive[rows[np.asarray(weakly).any(axis=1)]] = False
+            alive[rows[np.triu(weakly, 1).any(axis=1)]] = False
         surviving = batch[alive]
         frontier[:, fcount : fcount + len(surviving)] = surviving.T
         fcount += len(surviving)
-        keep[batch_idx[alive]] = True
+        keep[start:stop] = alive
     return keep
 
 
@@ -209,9 +201,8 @@ def constrained_mnw_solve(inst: Instance, max_space: int | None = None) -> Solve
     guard_search_space(inst.agents, inst.m, max_space)
     contributions, _lookup = contribution_matrix(inst)
     vectors, counts, firsts = _pareto_frontier(contributions)
-    # chores only: 0 <= -v_i(A_i) <= -v_i(M)
-    bound = int(-contributions.sum(axis=1).min())
-    hits, _key = lex_max(_nash_columns(-vectors, bound))
+    # chores only: -v_i(A_i) >= 0
+    hits, _key = lex_max(_nash_columns(-vectors))
     return _nash_result(
         inst,
         int(firsts[hits].min()),

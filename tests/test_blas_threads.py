@@ -1,6 +1,7 @@
 """Importing fairdiv asks OpenBLAS for one thread, unless the caller set a
 value or loaded numpy first. Each case runs in a fresh interpreter whose
-environment holds only PATH and PYTHONPATH, so no thread setting leaks in."""
+environment holds only PATH and PYTHONPATH, so no thread setting leaks in;
+``-B`` keeps those interpreters from writing bytecode into ``src``."""
 
 import os
 import subprocess
@@ -17,7 +18,7 @@ REPORT = "import os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
 def run(code: str, **env: str) -> str:
     clean = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": SRC, **env}
     return subprocess.run(
-        [sys.executable, "-c", code], env=clean, capture_output=True, text=True, check=True
+        [sys.executable, "-B", "-c", code], env=clean, capture_output=True, text=True, check=True
     ).stdout
 
 

@@ -30,10 +30,10 @@ from fairdiv import (
     objective,
     value,
 )
-from fairdiv import enumeration
-from fairdiv.enumeration import AllocationRows, assignment_at, contribution_matrix
+from fairdiv import enumeration, welfare
+from fairdiv.enumeration import allocation_chunks, assignment_at, contribution_matrix
 from fairdiv.leximin import _objective_rows
-from fairdiv.welfare import _pareto_frontier
+from fairdiv.welfare import _pareto_front_mask, _pareto_frontier
 
 SPECS = tuple(SPEC_NAMES.values())
 
@@ -228,7 +228,7 @@ def test_packed_row_entries_order_like_objective_tuples(spec):
     # hashed here, so only the specs with hashable tuples take part
     for inst in PACKING_INSTANCES:
         pairs = set()
-        for start, chunk in _objective_rows(inst, spec)[0].chunks():
+        for start, chunk in _objective_rows(inst, spec)[0]:
             for index, row in enumerate(chunk.tolist(), start):
                 alloc = Allocation(inst.agents, assignment_at(inst.agents, inst.m, index))
                 for agent, bundle in enumerate(alloc.bundles()):
@@ -323,6 +323,30 @@ def huge_rows(sign):
     ]
 
 
+def _ascending_front_mask(vectors):
+    # the filter's contract: distinct rows in ascending lexicographic order
+    rows = vectors.tolist()
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    return _pareto_front_mask(vectors)
+
+
+@settings(max_examples=60)
+@given(additive_instances())
+@example(additive(huge_rows(1)))
+@example(additive(huge_rows(-1)))
+def test_pareto_filter_gets_distinct_ascending_rows(inst):
+    # the huge-denominator examples run the filter on object-dtype rows
+    contributions, _lookup = contribution_matrix(inst)
+    expected = _pareto_frontier(contributions)
+    with patch.object(
+        welfare, "_pareto_front_mask", side_effect=_ascending_front_mask
+    ) as mask:
+        frontier = _pareto_frontier(contributions)
+    assert mask.call_count == inst.m
+    for got, want in zip(frontier, expected):
+        assert got.tolist() == want.tolist()
+
+
 def test_huge_denominators_take_the_exact_path():
     mixed = additive(
         [[v if j % 2 else -v for j, v in enumerate(row)] for row in huge_rows(1)]
@@ -362,7 +386,7 @@ def test_tied_optima_straddle_a_chunk_boundary():
     # which a one-prefix chunk puts in different chunks
     inst = additive([(1, 1), (1, 1)])
     with budget(1):
-        assert len(list(AllocationRows(*contribution_matrix(inst)).chunks())) == 2
+        assert len(list(allocation_chunks(*contribution_matrix(inst)))) == 2
         res = leximin_solve(inst)
         assert res.allocation.assignment == (0, 1)
         assert res.tie_count == 2

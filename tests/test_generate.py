@@ -163,6 +163,23 @@ def test_config_rejects_a_value_that_is_not_exact(field, bad):
         cfg(**{field: bad})
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("agents", 2.0),
+        ("items", 2.0),
+        ("items", True),
+        ("denominator", 2.5),
+        ("denominator", True),
+        ("weight_max", 2.5),
+        ("perturb_max", "1"),
+    ],
+)
+def test_config_rejects_a_count_that_is_not_an_int(field, bad):
+    with pytest.raises(ValueError, match=field):
+        cfg(**{field: bad})
+
+
 def test_config_parses_its_values_once():
     config = cfg(low="-1.5", high="1/2", rescale_total=-2)
     assert (config.low, config.high, config.rescale_total) == (
