@@ -37,6 +37,7 @@ from .enumeration import (
 )
 from .errors import SearchSpaceTooLarge
 from .model import (
+    AdditiveValuation,
     Allocation,
     Instance,
     classify_items,
@@ -310,11 +311,15 @@ def check_PO(inst: Instance, alloc: Allocation, max_space: int | None = None) ->
 
     Scans all n^m allocations in canonical order and reports the first
     one that makes every agent weakly better off and someone strictly
-    better off. Bounded by the search-space cap.
+    better off. Bounded by the search-space cap. When every agent has the
+    same additive row, each complete allocation's utilities sum to v(M),
+    so none improves another and nothing is scanned.
     """
     require_allocation(inst, alloc)
     n = inst.agents
     guard_search_space(n, inst.m, max_space)
+    if isinstance(inst.valuation, AdditiveValuation) and len(set(inst.valuation.scaled)) == 1:
+        return CheckResult(Verdict.HOLDS)
     base = [scaled_value(inst, i, mask) for i, mask in enumerate(alloc.bundles())]
     for start, chunk in allocation_chunks(*contribution_matrix(inst)):
         better = (chunk >= base).all(axis=1) & (chunk > base).any(axis=1)

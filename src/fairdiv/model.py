@@ -147,26 +147,54 @@ def format_value(x: Fraction) -> str:
     return _format_pair(x.numerator, x.denominator)
 
 
+#: Entries per step of the table codec: the decoder's vectorized pass and
+#: both directions' tables of distinct values never outgrow one chunk.
+_DECODE_CHUNK = 8192
+
+
 def format_table(scaled, scale: int) -> list[str]:
     """``format_value`` of each ``a / scale`` for ``a`` in ``scaled``,
     without building a ``Fraction`` per entry.
 
     When ``scale`` divides a power of ten, 10^d, every entry is rendered
     from the integer ``a * (10^d / scale)``; otherwise each entry is
-    reduced and rendered on its own.
+    reduced and rendered on its own. Each distinct integer of a
+    :data:`_DECODE_CHUNK`-entry chunk is rendered once, and its entries
+    share that one string: a 16-item general table holds a few hundred
+    distinct values among its 65,536 entries.
     """
     digits, rest = _decimal_digits(scale)
     if rest != 1:
-        return [_format_pair(a // (g := gcd(a, scale)), scale // g) for a in scaled]
-    factor = 10**digits // scale
-    return [_decimal(a * factor, digits) for a in scaled]
+        def render(a):
+            return _format_pair(a // (g := gcd(a, scale)), scale // g)
+    else:
+        factor = 10**digits // scale
+        def render(a):
+            return _decimal(a * factor, digits)
+    out = []
+    for chunk in _chunks(scaled):
+        text = dict.fromkeys(chunk)
+        for a in text:
+            text[a] = render(a)
+        out.extend(map(text.__getitem__, chunk))
+    return out
+
+
+def _common_divisor(scaled, scale: int) -> int:
+    """``gcd(scale, *scaled)``, folded one entry at a time and stopped at 1."""
+    divisor = scale
+    for a in scaled:
+        if divisor == 1:
+            break
+        divisor = gcd(divisor, a)
+    return divisor
 
 
 def lowest_terms(scaled, scale: int) -> tuple[tuple[int, ...], int]:
     """Integers over a positive common denominator, divided through by
     ``gcd(scale, *scaled)``: the canonical form of both valuation kinds,
     whose scale is the lcm of the values' reduced denominators."""
-    divisor = gcd(scale, *scaled)
+    divisor = _common_divisor(scaled, scale)
     if divisor > 1:
         scaled = [a // divisor for a in scaled]
     return tuple(scaled), scale // divisor
@@ -182,8 +210,6 @@ def _over_one_scale(pairs) -> tuple[tuple[int, ...], int]:
     return lowest_terms(tuple(a * (common // b) for a, b in zip(numerators, denominators)), common)
 
 
-#: Entries decoded per vectorized step, which bounds the code matrices.
-_DECODE_CHUNK = 8192
 #: The most digits an entry may hold in the vectorized decode: below 10^18,
 #: every numerator, denominator and digit string fits an int64.
 _DECODE_DIGITS = 18
@@ -194,53 +220,71 @@ def decode_values(entries) -> tuple[tuple[int, ...], int]:
     over one scale in :func:`lowest_terms` form.
 
     The spellings :func:`format_table` writes, ``-?D+(.D+)?`` and
-    ``-?D+/D+`` with at most 18 digits, are decoded in one vectorized
-    pass. If any entry is spelled otherwise or the scaled table would not
-    fit in int64, every entry goes through :func:`parse_pair`, so the
-    result, and the ``ValueError`` of a malformed entry, are its own.
+    ``-?D+/D+`` with at most 18 digits, are decoded in a vectorized pass
+    over the distinct spellings of each :data:`_DECODE_CHUNK`-entry chunk,
+    whose entries then share the one int of their spelling. If any entry
+    is spelled otherwise or the scaled table would not fit in int64, every
+    entry goes through :func:`parse_pair`, so the result, and the
+    ``ValueError`` of a malformed entry, are its own.
     """
     entries = entries if isinstance(entries, list) else list(entries)
     decoded = _decode_written(entries) if entries else None
     return decoded or _over_one_scale(map(parse_pair, entries))
 
 
+def _chunks(entries):
+    """A sequence in consecutive :data:`_DECODE_CHUNK`-entry slices."""
+    for start in range(0, len(entries), _DECODE_CHUNK):
+        yield entries[start : start + _DECODE_CHUNK]
+
+
 def _decode_written(entries: list) -> tuple[tuple[int, ...], int] | None:
     """:func:`decode_values` of a nonempty list in int64, or None when an
     entry or the table falls outside what that pass decodes exactly."""
-    nums = np.empty(len(entries), np.int64)
-    dens = np.empty(len(entries), np.int64)
-    for start in range(0, len(entries), _DECODE_CHUNK):
-        part = slice(start, start + _DECODE_CHUNK)
-        if not _decode_chunk(entries[part], nums[part], dens[part]):
+    decoded = []  # (numerators, denominators) of each chunk's distinct spellings
+    scale, top = 1, 0
+    for chunk in _chunks(entries):
+        if set(map(type, chunk)) != {str}:
             return None
-    # The lcm of the denominators, taken one missing denominator at a time;
-    # each step at least doubles the scale. (np.unique imports numpy.ma,
-    # about 1.7 MB of resident memory.)
-    scale = 1
-    while (missed := scale % dens != 0).any():
-        scale = lcm(scale, int(dens[missed.argmax()]))
-        if scale >= 1 << 63:
+        pair = _decode_spellings(list(dict.fromkeys(chunk)))
+        if pair is None:
             return None
-    if scale * int(np.abs(nums).max()) >= 1 << 63:
+        nums, dens = pair
+        # The lcm of the denominators, taken one missing denominator at a
+        # time; each step at least doubles the scale. (np.unique imports
+        # numpy.ma, about 1.7 MB of resident memory.)
+        while (missed := scale % dens != 0).any():
+            scale = lcm(scale, int(dens[missed.argmax()]))
+            if scale >= 1 << 63:
+                return None
+        top = max(top, int(np.abs(nums).max()))
+        decoded.append(pair)
+    if scale * top >= 1 << 63:
         return None
-    nums *= scale // dens
-    del dens
-    divisor = gcd(scale, int(np.gcd.reduce(nums)))
-    if divisor > 1:
-        nums //= divisor
-    return tuple(nums.tolist()), scale // divisor
+    numerators = [nums * (scale // dens) for nums, dens in decoded]
+    del decoded
+    divisor = gcd(scale, *(int(np.gcd.reduce(nums)) for nums in numerators))
+
+    def scaled():
+        for chunk in _chunks(entries):
+            # dict.fromkeys lists the chunk's distinct spellings in the order
+            # they were decoded; the chunk's numerators are dropped with it.
+            ints = (numerators.pop(0) // divisor).tolist()
+            yield map(dict(zip(dict.fromkeys(chunk), ints)).__getitem__, chunk)
+
+    return tuple(chain.from_iterable(scaled())), scale // divisor
 
 
-def _decode_chunk(chunk: list, nums: np.ndarray, dens: np.ndarray) -> bool:
-    """Write each entry's unreduced numerator and denominator into
-    ``nums`` and ``dens``; False, with nothing promised about them, when
-    some entry is not a ``str`` of the form ``-?D+([./]D*)?`` with at
-    most 18 digits D, or is a ratio whose denominator is empty or 0."""
-    if set(map(type, chunk)) != {str} or max(map(len, chunk)) > _DECODE_DIGITS + 2:
-        return False
+def _decode_spellings(chunk: list) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each string's unreduced numerator and denominator, as two int64
+    arrays; None when some string is not of the form ``-?D+([./]D*)?``
+    with at most 18 digits D, or is a ratio whose denominator is empty
+    or 0."""
+    if max(map(len, chunk)) > _DECODE_DIGITS + 2:
+        return None
     joined = "".join(chunk)
     if not joined.isascii():
-        return False
+        return None
     # One row per character position. Subtracting '0' turns digits into
     # 0-9 and '-', '.', '/' into 253-255; the padding NUL becomes 208.
     codes = np.array(chunk, dtype="S").view(np.uint8).reshape(len(chunk), -1)
@@ -256,7 +300,7 @@ def _decode_chunk(chunk: list, nums: np.ndarray, dens: np.ndarray) -> bool:
         or np.count_nonzero(is_sep, axis=0).max() > 1
         or count.max() > _DECODE_DIGITS
     ):
-        return False
+        return None
     # Horner's rule over the digits, counting those after the separator.
     digits = np.zeros(len(chunk), np.int64)
     after = np.zeros(len(chunk), np.int64)
@@ -266,13 +310,14 @@ def _decode_chunk(chunk: list, nums: np.ndarray, dens: np.ndarray) -> bool:
         seen |= sep
         after += digit & seen
     if (count <= after).any():
-        return False  # no digit before the separator
+        return None  # no digit before the separator
     unit = 10**after
     ratio = (chars == 255).any(axis=0)
     num = np.where(ratio, digits // unit, digits)
-    dens[:] = np.where(ratio, digits % unit, unit)
-    nums[:] = np.where(chars[0] == 253, -num, num)
-    return bool(dens.all())
+    dens = np.where(ratio, digits % unit, unit)
+    if not dens.all():
+        return None
+    return np.where(chars[0] == 253, -num, num), dens
 
 
 def _is_int(x) -> bool:
@@ -281,7 +326,7 @@ def _is_int(x) -> bool:
 
 
 def _require_lowest_terms(scaled, scale: int) -> None:
-    if scale < 1 or gcd(scale, *scaled) != 1:
+    if scale < 1 or _common_divisor(scaled, scale) != 1:
         raise InvalidInstance(f"scale {scale} is not positive or not reduced")
 
 

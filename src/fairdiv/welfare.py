@@ -117,7 +117,10 @@ def _pareto_front_mask(vectors: np.ndarray) -> np.ndarray:
     Batches are processed from the last row back: every possible dominator
     of a row sits in the frontier accumulated from later batches or later
     in the same batch; domination by any row, dominated or not, already
-    disproves optimality, which keeps both checks one-pass.
+    disproves optimality, which keeps both checks one-pass. Within a
+    batch, no earlier row weakly dominates a later one, so clearing the
+    diagonal of the weak-domination matrix, each row against itself,
+    leaves only domination by later rows.
 
     The frontier is stored one contiguous array per coordinate, so every
     comparison streams contiguous memory, and candidates are checked 64
@@ -148,7 +151,8 @@ def _pareto_front_mask(vectors: np.ndarray) -> np.ndarray:
             weakly = sub[0] >= sub[0, :, None]
             for d in range(1, width):
                 weakly &= sub[d] >= sub[d, :, None]
-            alive[rows[np.triu(weakly, 1).any(axis=1)]] = False
+            np.fill_diagonal(weakly, False)
+            alive[rows[weakly.any(axis=1)]] = False
         surviving = batch[alive]
         frontier[:, fcount : fcount + len(surviving)] = surviving.T
         fcount += len(surviving)

@@ -1,7 +1,9 @@
 """decode_values: the vectorized decode of the spellings fairdiv writes must
 give what parse_pair gives, entry by entry, or defer to it."""
 
+import json
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -16,7 +18,14 @@ from fairdiv import (
     instance_to_json,
     model,
 )
-from fairdiv.model import _over_one_scale, decode_values, parse_pair
+from fairdiv.model import (
+    _over_one_scale,
+    decode_values,
+    format_table,
+    format_value,
+    parse_pair,
+    scaled_table,
+)
 
 
 def outcome(decode, entries):
@@ -58,15 +67,45 @@ def test_written_spellings_decode_without_parse_pair(entries, chunk):
         assert decode_values(entries) == expected
 
 
+def repeated(entry):
+    """Lists of up to 20 entries drawn from a pool of at most 4."""
+    return st.lists(entry, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=20)
+    )
+
+
 @settings(max_examples=500)
 @given(
-    st.lists(st.one_of(WRITTEN, WRITTEN, NOISE, OTHER), max_size=20),
+    st.one_of(
+        st.lists(st.one_of(WRITTEN, WRITTEN, NOISE, OTHER), max_size=20),
+        repeated(st.one_of(WRITTEN, WRITTEN, NOISE, OTHER)),
+    ),
     st.integers(1, 7),
 )
 def test_decode_matches_parse_pair_values_and_errors(entries, chunk):
     expected = outcome(per_entry, entries)
     with mock.patch.object(model, "_DECODE_CHUNK", chunk):
         assert outcome(decode_values, entries) == expected
+
+
+def test_equal_spellings_of_a_chunk_share_one_int():
+    with no_parse_pair():
+        scaled, scale = decode_values(["123456"] * 10 + ["-654321/7"] * 10)
+    assert scale == 7
+    assert len({id(a) for a in scaled}) == 2
+
+
+@pytest.mark.parametrize("scale", [1, 3, 8])
+def test_a_table_past_int64_round_trips_through_parse_pair(scale):
+    scaled = tuple(mask.bit_count() * (2**70 + 1) + mask % 2 for mask in range(1 << 14))
+    valuation = GeneralIdenticalValuation(scaled, scale)
+    assert scaled_table(valuation).dtype == object
+    entries = format_table(scaled, scale)
+    assert entries == [format_value(Fraction(a, scale)) for a in scaled]
+    assert decode_values(entries) == (scaled, scale)
+
+
+CHUNK = model._DECODE_CHUNK
 
 
 @pytest.mark.parametrize(
@@ -87,6 +126,12 @@ def test_decode_matches_parse_pair_values_and_errors(entries, chunk):
         [1], [True], [False], [1.5], [None], ["1", 2], [["1"]], [b"1"],
         ["0"],  # the table of m = 0
         [],
+        # repeated spellings, across the chunk boundary and before errors
+        ["0.5"] * CHUNK + ["0.5", "-3/4", "0.5"],
+        ["-3/4", "1.25"] * CHUNK,
+        ["1"] * (CHUNK + 5) + ["1/0", "x"],
+        ["2.5"] * 3 + ["x"] + ["2.5"] * CHUNK + [" 1"],
+        ["1"] * CHUNK + ["1" * 19, "1"],
     ],
 )
 def test_decode_edge_cases(entries):
@@ -100,9 +145,21 @@ def test_empty_table_and_m_zero():
         assert GeneralIdenticalValuation.of(["0"]) == GeneralIdenticalValuation((0,), 1)
 
 
-@pytest.mark.parametrize("family", ["general-identical", "general-identical-nonzero-marginal"])
-def test_generated_16_item_tables_load_without_parse_pair(family):
-    inst = generate(GeneratorConfig(2, 16, family, 3))
+@pytest.mark.parametrize(
+    "config",
+    [
+        GeneratorConfig(2, 16, "general-identical", 3),
+        GeneratorConfig(2, 16, "general-identical-nonzero-marginal", 3),
+        # almost every one of the 65,536 values distinct
+        GeneratorConfig(2, 16, "general-identical", 1, perturb_max=50_000),
+    ],
+    ids=["general-identical", "general-identical-nonzero-marginal", "all-distinct"],
+)
+def test_generated_16_item_tables_load_without_parse_pair(config):
+    inst = generate(config)
+    valuation = inst.valuation
+    table = format_table(valuation.scaled, valuation.scale)
+    assert table == [format_value(Fraction(a, valuation.scale)) for a in valuation.scaled]
     text = instance_to_json(inst)
     with no_parse_pair():
         assert instance_from_json(text) == inst
@@ -134,3 +191,32 @@ def test_decode_peak_memory_is_at_most_the_per_entry_path():
             tracemalloc.stop()
         del decoded
     assert peaks[0] <= peaks[1]
+
+
+def traced_peak(fn, *args):
+    """The most memory ``fn(*args)`` held at once, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+#: A 16-item general table: 65,536 entries of a few hundred distinct values.
+GENERAL_16 = GeneratorConfig(2, 16, "general-identical", 1)
+
+
+def test_format_table_renders_a_16_item_table_in_bounded_memory():
+    # One string per entry peaked at about 4 MB, one per distinct value
+    # of each chunk at about 0.8 MB.
+    valuation = generate(GENERAL_16).valuation
+    assert traced_peak(format_table, valuation.scaled, valuation.scale) < 2_000_000
+
+
+def test_decode_values_reads_a_16_item_table_in_bounded_memory():
+    # Numerators, denominators and an int per entry beside the parsed
+    # strings peaked at about 2.2 MB, a decode per distinct spelling of
+    # each chunk at about 0.8 MB.
+    entries = json.loads(instance_to_json(generate(GENERAL_16)))["valuation"]["table"]
+    assert traced_peak(decode_values, entries) < 1_500_000

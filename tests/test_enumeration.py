@@ -280,6 +280,24 @@ def test_check_PO_matches_oracle(case, rows):
         assert_po_matches(*case)
 
 
+@st.composite
+def identical_additive_instances(draw):
+    """Every agent holding one row of mixed-sign values."""
+    n, m = draw(SIZES)
+    return additive([tuple(draw(st.lists(fractions(-3, 3), min_size=m, max_size=m)))] * n)
+
+
+@settings(max_examples=60)
+@given(with_allocation(identical_additive_instances()))
+@example((additive([(-1, 2, Fraction(1, 3))]), Allocation(1, (0, 0, 0))))
+@example((additive([()] * 3), Allocation(3, ())))
+def test_check_PO_holds_without_a_scan_on_identical_additive_rows(case):
+    # n = 1 and m = 0 as explicit examples
+    assert oracle.po_witness(*case) is None
+    with patch("fairdiv.audit.allocation_chunks", side_effect=AssertionError("scanned")):
+        assert check_PO(*case).holds
+
+
 @settings(max_examples=60)
 @given(with_allocation(INSTANCES), st.sampled_from(CUSTOM_SPECS), BUDGETS)
 @example((additive([(-1, 2, Fraction(1, 3))]), Allocation(1, (0, 0, 0))), CUSTOM_SPECS[0], 1)

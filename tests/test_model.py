@@ -5,6 +5,7 @@ import gc
 import sys
 import weakref
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +36,7 @@ from fairdiv import (
     rescale_common_total,
     validate_instance,
     value,
+    model,
 )
 from fairdiv.model import format_table
 
@@ -162,16 +164,38 @@ def test_format_table_matches_format_value_entry_by_entry(scale):
     assert format_table(entries, scale) == [format_value(Fraction(a, scale)) for a in entries]
 
 
+ENTRY = st.integers(-(2**80), 2**80)
+
+
 @given(
-    entries=st.lists(st.integers(-(2**80), 2**80), max_size=16),
+    entries=st.one_of(
+        st.lists(ENTRY, max_size=16),
+        # repeated entries: up to 20 drawn from a pool of at most 4
+        st.lists(ENTRY, min_size=1, max_size=4).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), max_size=20)
+        ),
+    ),
     scale=st.one_of(
         st.sampled_from(SCALES),
         st.builds(lambda k, j: 2**k * 5**j, st.integers(0, 30), st.integers(0, 30)),
         st.integers(1, 10**6),
     ),
+    chunk=st.integers(1, 7),
 )
-def test_format_table_is_format_value_of_each_entry(entries, scale):
-    assert format_table(entries, scale) == [format_value(Fraction(a, scale)) for a in entries]
+def test_format_table_is_format_value_of_each_entry(entries, scale, chunk):
+    with mock.patch.object(model, "_DECODE_CHUNK", chunk):
+        assert format_table(entries, scale) == [format_value(Fraction(a, scale)) for a in entries]
+
+
+@pytest.mark.parametrize("scale", [8, 3])
+def test_format_table_renders_a_chunk_s_distinct_values_once(scale):
+    chunk = model._DECODE_CHUNK
+    # -1 repeats across the chunk boundary; 2^70 + 1 is past int64
+    entries = [-1, 5, 2**70 + 1] * (chunk // 3) + [-1, -1, 2**70 + 1, 7] * 3
+    expected = {a: format_value(Fraction(a, scale)) for a in set(entries)}
+    rendered = format_table(entries, scale)
+    assert rendered == [expected[a] for a in entries]
+    assert len({id(text) for text in rendered[:chunk]}) == 3
 
 
 # ------------------------------------------------------------ structure
