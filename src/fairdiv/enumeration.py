@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SearchSpaceTooLarge
-from .model import AdditiveValuation, Instance, scaled_table, scaled_value, value
+from .model import AdditiveValuation, Instance, _is_int, scaled_table, scaled_value, value
 
 #: Default cap on the number of allocations an exhaustive operation may visit.
 DEFAULT_MAX_SPACE = 10_000_000
@@ -47,7 +47,10 @@ INT64_LIMIT = 2**62
 
 
 def guard_search_space(n: int, m: int, max_space: int | None = None) -> int:
-    """Return n^m, raising :class:`SearchSpaceTooLarge` above the cap."""
+    """Return n^m, raising :class:`SearchSpaceTooLarge` above the cap, and
+    ``ValueError`` unless ``max_space`` is None (the default cap) or an int."""
+    if max_space is not None and not _is_int(max_space):
+        raise ValueError(f"max_space must be None or an integer, got {max_space!r}")
     limit = DEFAULT_MAX_SPACE if max_space is None else max_space
     size = n**m
     if size > limit:

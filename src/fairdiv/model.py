@@ -147,9 +147,15 @@ def format_value(x: Fraction) -> str:
     return _format_pair(x.numerator, x.denominator)
 
 
-#: Entries per step of the table codec: the decoder's vectorized pass and
-#: both directions' tables of distinct values never outgrow one chunk.
+#: Entries per step of the table codec: both directions keep a table of
+#: distinct values for one chunk at a time.
 _DECODE_CHUNK = 8192
+
+
+def _chunks(entries):
+    """A sequence in consecutive :data:`_DECODE_CHUNK`-entry slices."""
+    for start in range(0, len(entries), _DECODE_CHUNK):
+        yield entries[start : start + _DECODE_CHUNK]
 
 
 def format_table(scaled, scale: int) -> list[str]:
@@ -210,114 +216,37 @@ def _over_one_scale(pairs) -> tuple[tuple[int, ...], int]:
     return lowest_terms(tuple(a * (common // b) for a, b in zip(numerators, denominators)), common)
 
 
-#: The most digits an entry may hold in the vectorized decode: below 10^18,
-#: every numerator, denominator and digit string fits an int64.
-_DECODE_DIGITS = 18
-
-
 def decode_values(entries) -> tuple[tuple[int, ...], int]:
     """The values :func:`parse_pair` reads from ``entries``, as integers
     over one scale in :func:`lowest_terms` form.
 
-    The spellings :func:`format_table` writes, ``-?D+(.D+)?`` and
-    ``-?D+/D+`` with at most 18 digits, are decoded in a vectorized pass
-    over the distinct spellings of each :data:`_DECODE_CHUNK`-entry chunk,
-    whose entries then share the one int of their spelling. If any entry
-    is spelled otherwise or the scaled table would not fit in int64, every
-    entry goes through :func:`parse_pair`, so the result, and the
-    ``ValueError`` of a malformed entry, are its own.
+    Each :data:`_DECODE_CHUNK`-entry chunk made only of strings is parsed
+    once per distinct spelling, and its entries share the one int of their
+    spelling; any other chunk is parsed entry by entry, since ``1``,
+    ``True`` and ``1.0`` are equal keys but parse differently. Either way
+    the first malformed entry, in entry order, raises its ``ValueError``.
     """
     entries = entries if isinstance(entries, list) else list(entries)
-    decoded = _decode_written(entries) if entries else None
-    return decoded or _over_one_scale(map(parse_pair, entries))
-
-
-def _chunks(entries):
-    """A sequence in consecutive :data:`_DECODE_CHUNK`-entry slices."""
-    for start in range(0, len(entries), _DECODE_CHUNK):
-        yield entries[start : start + _DECODE_CHUNK]
-
-
-def _decode_written(entries: list) -> tuple[tuple[int, ...], int] | None:
-    """:func:`decode_values` of a nonempty list in int64, or None when an
-    entry or the table falls outside what that pass decodes exactly."""
-    decoded = []  # (numerators, denominators) of each chunk's distinct spellings
-    scale, top = 1, 0
+    decoded = []  # per chunk: ints over its own scale, and whether per distinct string
+    scale = 1
     for chunk in _chunks(entries):
-        if set(map(type, chunk)) != {str}:
-            return None
-        pair = _decode_spellings(list(dict.fromkeys(chunk)))
-        if pair is None:
-            return None
-        nums, dens = pair
-        # The lcm of the denominators, taken one missing denominator at a
-        # time; each step at least doubles the scale. (np.unique imports
-        # numpy.ma, about 1.7 MB of resident memory.)
-        while (missed := scale % dens != 0).any():
-            scale = lcm(scale, int(dens[missed.argmax()]))
-            if scale >= 1 << 63:
-                return None
-        top = max(top, int(np.abs(nums).max()))
-        decoded.append(pair)
-    if scale * top >= 1 << 63:
-        return None
-    numerators = [nums * (scale // dens) for nums, dens in decoded]
-    del decoded
-    divisor = gcd(scale, *(int(np.gcd.reduce(nums)) for nums in numerators))
+        strings = set(map(type, chunk)) == {str}
+        ints, own = _over_one_scale(map(parse_pair, dict.fromkeys(chunk) if strings else chunk))
+        decoded.append((ints, own, strings))
+        scale = lcm(scale, own)
+    # No gcd pass: the chunk whose own scale holds p^e of the lcm has an int p
+    # does not divide, and scale // own has no p.
 
     def scaled():
         for chunk in _chunks(entries):
-            # dict.fromkeys lists the chunk's distinct spellings in the order
-            # they were decoded; the chunk's numerators are dropped with it.
-            ints = (numerators.pop(0) // divisor).tolist()
-            yield map(dict(zip(dict.fromkeys(chunk), ints)).__getitem__, chunk)
+            ints, own, strings = decoded.pop(0)
+            if own != scale:
+                ints = [a * (scale // own) for a in ints]
+            if strings:
+                ints = map(dict(zip(dict.fromkeys(chunk), ints)).__getitem__, chunk)
+            yield ints
 
-    return tuple(chain.from_iterable(scaled())), scale // divisor
-
-
-def _decode_spellings(chunk: list) -> tuple[np.ndarray, np.ndarray] | None:
-    """Each string's unreduced numerator and denominator, as two int64
-    arrays; None when some string is not of the form ``-?D+([./]D*)?``
-    with at most 18 digits D, or is a ratio whose denominator is empty
-    or 0."""
-    if max(map(len, chunk)) > _DECODE_DIGITS + 2:
-        return None
-    joined = "".join(chunk)
-    if not joined.isascii():
-        return None
-    # One row per character position. Subtracting '0' turns digits into
-    # 0-9 and '-', '.', '/' into 253-255; the padding NUL becomes 208.
-    codes = np.array(chunk, dtype="S").view(np.uint8).reshape(len(chunk), -1)
-    chars = np.ascontiguousarray(codes.T) - np.uint8(ord("0"))
-    is_digit = chars < 10
-    is_sep = chars >= 254
-    # Counting the allowed characters, a '-' only in front, against the
-    # text's length also catches a NUL, which the byte strings drop.
-    allowed = np.count_nonzero(is_digit | is_sep) + np.count_nonzero(chars[0] == 253)
-    count = np.count_nonzero(is_digit, axis=0)
-    if (
-        allowed != len(joined)
-        or np.count_nonzero(is_sep, axis=0).max() > 1
-        or count.max() > _DECODE_DIGITS
-    ):
-        return None
-    # Horner's rule over the digits, counting those after the separator.
-    digits = np.zeros(len(chunk), np.int64)
-    after = np.zeros(len(chunk), np.int64)
-    seen = np.zeros(len(chunk), bool)
-    for row, digit, sep in zip(chars, is_digit, is_sep):
-        digits = np.where(digit, digits * 10 + row, digits)
-        seen |= sep
-        after += digit & seen
-    if (count <= after).any():
-        return None  # no digit before the separator
-    unit = 10**after
-    ratio = (chars == 255).any(axis=0)
-    num = np.where(ratio, digits // unit, digits)
-    dens = np.where(ratio, digits % unit, unit)
-    if not dens.all():
-        return None
-    return np.where(chars[0] == 253, -num, num), dens
+    return tuple(chain.from_iterable(scaled())), scale
 
 
 def _is_int(x) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from .audit import CheckResult, Verdict, audit, require_notions
 from .generators import GeneratorConfig, generate
 from .methods import require_method, solve_with_method
-from .model import Allocation, Instance
+from .model import Allocation, Instance, _is_int
 from .serialize import allocation_to_dict, instance_to_dict
 
 
@@ -73,12 +73,14 @@ def search_counterexamples(
 ) -> SearchReport:
     """Audit ``method`` over ``trials`` generated instances.
 
-    ``trials`` must not be negative. An unknown method, or notions that
-    :func:`~fairdiv.audit.require_notions` refuses, raise ``ValueError``
-    before the first trial.
+    ``trials`` must be a nonnegative integer. An unknown method, or
+    notions that :func:`~fairdiv.audit.require_notions` refuses, raise
+    ``ValueError`` before the first trial.
     Notions whose check exceeds the search cap are reported as
     not-applicable by the audit and never counted as violations.
     """
+    if not _is_int(trials):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 0:
         raise ValueError(f"trials cannot be negative, got {trials}")
     require_method(method)

@@ -87,7 +87,12 @@ def _parse_instance(data: dict) -> Instance:
                 f"general-identical instances are capped at "
                 f"{MAX_GENERAL_ITEMS} items, got {len(items)}"
             )
-        model = _read(GeneralIdenticalValuation.of, _entries(valuation, "table"))
+        table = _entries(valuation, "table")
+        if len(table) != 1 << len(items):
+            raise InvalidInstance(
+                f"expected a table of {1 << len(items)} values, got {len(table)}"
+            )
+        model = _read(GeneralIdenticalValuation.of, table)
     else:
         raise InvalidInstance(f"unknown valuation type {vtype!r}")
     return Instance(agents=agents, items=items, valuation=model)

@@ -1,5 +1,5 @@
-"""decode_values: the vectorized decode of the spellings fairdiv writes must
-give what parse_pair gives, entry by entry, or defer to it."""
+"""decode_values must give what parse_pair gives, entry by entry, while
+parsing each distinct spelling of a chunk of strings only once."""
 
 import json
 import tracemalloc
@@ -40,9 +40,16 @@ def per_entry(entries):
     return _over_one_scale(map(parse_pair, entries))
 
 
-def no_parse_pair():
-    """parse_pair raising, so a decode that falls back to it fails loudly."""
-    return mock.patch.object(model, "parse_pair", side_effect=AssertionError("fell back"))
+def counted_parse_pair():
+    """parse_pair, counting the calls the decoder makes to it."""
+    return mock.patch.object(model, "parse_pair", wraps=parse_pair)
+
+
+def distinct_per_chunk(entries):
+    """The distinct strings of each chunk of ``entries``, summed over chunks:
+    the parse_pair calls a decode of strings makes."""
+    size = model._DECODE_CHUNK
+    return sum(len(set(entries[i : i + size])) for i in range(0, len(entries), size))
 
 
 DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=6)
@@ -63,8 +70,9 @@ OTHER = st.one_of(
 @given(st.lists(WRITTEN, min_size=1, max_size=20), st.integers(1, 7))
 def test_written_spellings_decode_without_parse_pair(entries, chunk):
     expected = per_entry(entries)
-    with mock.patch.object(model, "_DECODE_CHUNK", chunk), no_parse_pair():
+    with mock.patch.object(model, "_DECODE_CHUNK", chunk), counted_parse_pair() as parse:
         assert decode_values(entries) == expected
+        assert parse.call_count == distinct_per_chunk(entries)
 
 
 def repeated(entry):
@@ -89,8 +97,9 @@ def test_decode_matches_parse_pair_values_and_errors(entries, chunk):
 
 
 def test_equal_spellings_of_a_chunk_share_one_int():
-    with no_parse_pair():
+    with counted_parse_pair() as parse:
         scaled, scale = decode_values(["123456"] * 10 + ["-654321/7"] * 10)
+    assert parse.call_count == 2
     assert scale == 7
     assert len({id(a) for a in scaled}) == 2
 
@@ -140,9 +149,10 @@ def test_decode_edge_cases(entries):
 
 def test_empty_table_and_m_zero():
     assert decode_values([]) == ((), 1)
-    with no_parse_pair():
+    with counted_parse_pair() as parse:
         assert decode_values(["0"]) == ((0,), 1)
         assert GeneralIdenticalValuation.of(["0"]) == GeneralIdenticalValuation((0,), 1)
+    assert parse.call_count == 2
 
 
 @pytest.mark.parametrize(
@@ -161,8 +171,9 @@ def test_generated_16_item_tables_load_without_parse_pair(config):
     table = format_table(valuation.scaled, valuation.scale)
     assert table == [format_value(Fraction(a, valuation.scale)) for a in valuation.scaled]
     text = instance_to_json(inst)
-    with no_parse_pair():
+    with counted_parse_pair() as parse:
         assert instance_from_json(text) == inst
+    assert parse.call_count == distinct_per_chunk(table)
 
 
 def test_a_long_entry_is_not_padded_into_a_matrix():
@@ -205,6 +216,8 @@ def traced_peak(fn, *args):
 
 #: A 16-item general table: 65,536 entries of a few hundred distinct values.
 GENERAL_16 = GeneratorConfig(2, 16, "general-identical", 1)
+#: The same shape with almost every one of its 65,536 values distinct.
+ALL_DISTINCT_16 = GeneratorConfig(2, 16, "general-identical", 1, perturb_max=50_000)
 
 
 def test_format_table_renders_a_16_item_table_in_bounded_memory():
@@ -220,3 +233,10 @@ def test_decode_values_reads_a_16_item_table_in_bounded_memory():
     # each chunk at about 0.8 MB.
     entries = json.loads(instance_to_json(generate(GENERAL_16)))["valuation"]["table"]
     assert traced_peak(decode_values, entries) < 1_500_000
+
+
+def test_decode_values_reads_an_all_distinct_16_item_table_in_bounded_memory():
+    # Parsing one chunk's spellings at a time peaked at about 3.4 MB;
+    # holding a (numerator, denominator) pair per entry, at about 12 MB.
+    entries = json.loads(instance_to_json(generate(ALL_DISTINCT_16)))["valuation"]["table"]
+    assert traced_peak(decode_values, entries) < 4_500_000

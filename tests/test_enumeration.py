@@ -20,6 +20,7 @@ from fairdiv import (
     UTILITY,
     Allocation,
     ObjectiveSpec,
+    audit,
     check_PO,
     constrained_mnw_solve,
     is_leximin_optimal,
@@ -414,3 +415,20 @@ def test_tied_optima_straddle_a_chunk_boundary():
         # the first improvement of (0, 0) is the swap at index 2
         swap = check_PO(additive([(0, 1), (1, 0)]), Allocation(2, (0, 0)))
         assert swap.witness.improvement.assignment == (1, 0)
+
+
+@pytest.mark.parametrize("max_space", ["5", True, 2.5])
+def test_max_space_must_be_none_or_an_integer(max_space):
+    inst = additive([(-1, -2), (-2, -1)])
+    alloc = Allocation(2, (0, 1))
+    calls = [
+        lambda: enumeration.guard_search_space(2, 2, max_space),
+        lambda: leximin_solve(inst, max_space=max_space),
+        lambda: mnw_prime_solve(inst, max_space),
+        lambda: constrained_mnw_solve(inst, max_space),
+        lambda: check_PO(inst, alloc, max_space),
+        lambda: audit(inst, alloc, ("po",), max_space),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="max_space must be None or an integer"):
+            call()

@@ -30,6 +30,12 @@ def test_negative_trials_are_rejected():
         search_counterexamples(chores_cfg(), "leximin", ("ef",), trials=-3)
 
 
+@pytest.mark.parametrize("trials", [2.5, "3", True])
+def test_trials_must_be_an_integer(trials):
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        search_counterexamples(chores_cfg(), "leximin", ("ef",), trials=trials)
+
+
 def test_seeded_search_finds_a_frozen_violation():
     report = search_counterexamples(chores_cfg(seed=7), "mnw-constrained", ("ef1",), trials=5)
     assert report.method == "mnw-constrained"

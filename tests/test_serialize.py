@@ -1,6 +1,7 @@
 """JSON round-trips and document validation."""
 
 import json
+from unittest import mock
 
 import pytest
 
@@ -21,7 +22,9 @@ from fairdiv import (
     instance_from_json,
     instance_to_dict,
     instance_to_json,
+    model,
 )
+from fairdiv.model import parse_pair
 from fairdiv.serialize import dump, dumps
 
 
@@ -91,6 +94,7 @@ def test_general_item_cap():
         lambda d: d["valuation"].update(matrix=[[None]]),
         lambda d: d["valuation"].update(type="general-identical", table=["0", [1], "0", "0"]),
         lambda d: d["valuation"].update(type="general-identical", table=["0", "1/0", "0", "0"]),
+        lambda d: d["valuation"].update(type="general-identical", table=["0", "x", "0"]),
     ],
 )
 def test_malformed_instance_documents(mutate):
@@ -98,6 +102,18 @@ def test_malformed_instance_documents(mutate):
     mutate(doc)
     with pytest.raises(InvalidInstance):
         instance_from_dict(doc)
+
+
+def test_a_table_of_the_wrong_length_is_refused_before_any_entry_is_read():
+    doc = {
+        "agents": 2,
+        "items": [f"o{j}" for j in range(16)],
+        "valuation": {"type": "general-identical", "table": ["0", "x"] * (1 << 14)},
+    }
+    with mock.patch.object(model, "parse_pair", wraps=parse_pair) as parse:
+        with pytest.raises(InvalidInstance, match="expected a table of 65536 values, got 32768"):
+            instance_from_dict(doc)
+    assert parse.call_count == 0
 
 
 def test_allocation_round_trip():
