@@ -34,6 +34,7 @@ from .enumeration import (
     assignment_at,
     contribution_matrix,
     guard_search_space,
+    require_max_space,
 )
 from .errors import SearchSpaceTooLarge
 from .model import (
@@ -405,12 +406,14 @@ def audit(
 
     Notions that :func:`require_notions` refuses (a bare string, none at
     all, or an entry that is not a string, unknown or repeated) raise
-    ``ValueError`` before any check runs. A check whose search space
-    exceeds the cap is reported as not-applicable rather than aborting the
-    whole audit.
+    ``ValueError`` before any check runs, as does a ``max_space`` that
+    :func:`~fairdiv.enumeration.require_max_space` refuses. A check whose
+    search space exceeds the cap is reported as not-applicable rather than
+    aborting the whole audit.
     """
     require_allocation(inst, alloc)
     notions = require_notions(notions)
+    require_max_space(max_space)
     results = []
     for notion in notions:
         try:

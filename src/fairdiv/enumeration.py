@@ -46,11 +46,17 @@ ROW_BUDGET = 1 << 13
 INT64_LIMIT = 2**62
 
 
-def guard_search_space(n: int, m: int, max_space: int | None = None) -> int:
-    """Return n^m, raising :class:`SearchSpaceTooLarge` above the cap, and
-    ``ValueError`` unless ``max_space`` is None (the default cap) or an int."""
+def require_max_space(max_space) -> None:
+    """Raise ``ValueError`` unless ``max_space`` is None (the default cap)
+    or an int."""
     if max_space is not None and not _is_int(max_space):
         raise ValueError(f"max_space must be None or an integer, got {max_space!r}")
+
+
+def guard_search_space(n: int, m: int, max_space: int | None = None) -> int:
+    """Return n^m, raising :class:`SearchSpaceTooLarge` above the cap, and
+    ``ValueError`` as :func:`require_max_space` does."""
+    require_max_space(max_space)
     limit = DEFAULT_MAX_SPACE if max_space is None else max_space
     size = n**m
     if size > limit:

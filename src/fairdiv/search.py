@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .audit import CheckResult, Verdict, audit, require_notions
+from .enumeration import require_max_space
 from .generators import GeneratorConfig, generate
 from .methods import require_method, solve_with_method
 from .model import Allocation, Instance, _is_int
@@ -73,8 +74,9 @@ def search_counterexamples(
 ) -> SearchReport:
     """Audit ``method`` over ``trials`` generated instances.
 
-    ``trials`` must be a nonnegative integer. An unknown method, or
-    notions that :func:`~fairdiv.audit.require_notions` refuses, raise
+    ``trials`` must be a nonnegative integer. An unknown method, notions
+    that :func:`~fairdiv.audit.require_notions` refuses, or a ``max_space``
+    that :func:`~fairdiv.enumeration.require_max_space` refuses raise
     ``ValueError`` before the first trial.
     Notions whose check exceeds the search cap are reported as
     not-applicable by the audit and never counted as violations.
@@ -85,6 +87,7 @@ def search_counterexamples(
         raise ValueError(f"trials cannot be negative, got {trials}")
     require_method(method)
     notions = require_notions(notions)
+    require_max_space(max_space)
     rng = random.Random(config.seed)
     trial_seeds = [rng.randrange(2**63) for _ in range(trials)]
     violations = []

@@ -19,6 +19,7 @@ from fairdiv import (
     SPEC_NAMES,
     UTILITY,
     Allocation,
+    GeneratorConfig,
     ObjectiveSpec,
     audit,
     check_PO,
@@ -29,6 +30,7 @@ from fairdiv import (
     modified_nash_welfare,
     nash_prime_factors,
     objective,
+    search_counterexamples,
     value,
 )
 from fairdiv import enumeration, welfare
@@ -391,11 +393,31 @@ def test_huge_denominators_take_the_exact_path():
 
 
 def test_nash_products_beyond_int64_stay_exact():
-    # entries fit int64, but four factors near 2^20 multiply past 2^63
-    inst = additive([[-(2**19) - 3 * i - j for j in range(5)] for i in range(4)])
-    assert contribution_matrix(inst)[0].dtype == np.int64
-    assert_mnw_prime_matches(inst)
-    assert_constrained_matches(inst)
+    # entries fit int64, but four factors near 2^20 multiply past 2^63;
+    # in the second instance every factor is below 2^32, and the optimum's
+    # two factors of 2^32 - 2 multiply into [2^63, 2^64), where int64
+    # wraps to a negative product
+    big = 2**32 - 2
+    wraps = additive([(-1, -big), (-big, -1)])
+    for inst in (
+        additive([[-(2**19) - 3 * i - j for j in range(5)] for i in range(4)]),
+        wraps,
+    ):
+        assert contribution_matrix(inst)[0].dtype == np.int64
+        assert_mnw_prime_matches(inst)
+        assert_constrained_matches(inst)
+    assert mnw_prime_solve(wraps).allocation.assignment == (0, 1)
+    _count, product = welfare._nash_columns(np.full((1, 2), big + 1))
+    assert product.tolist() == [(big + 1) ** 2]
+
+
+def test_leximin_weight_past_int64_takes_the_exact_path():
+    # two chores near 2^61 and 2^62 at scale 1: times leximin++'s weight
+    # m + 1 = 3 the pair's value passes 2^63 and would wrap positive
+    inst = general(2, [0, -(2**61), -(2**61) - 5, -(2**62) - 3])
+    assert inst.valuation.scale == 1
+    assert contribution_matrix(inst, inst.m + 1)[1].dtype == object
+    assert_leximin_matches(inst, SPEC_NAMES["leximin++"])
 
 
 # ------------------------------------------------------ chunk boundaries
@@ -421,6 +443,7 @@ def test_tied_optima_straddle_a_chunk_boundary():
 def test_max_space_must_be_none_or_an_integer(max_space):
     inst = additive([(-1, -2), (-2, -1)])
     alloc = Allocation(2, (0, 1))
+    config = GeneratorConfig(2, 2, "additive-chores", 1)
     calls = [
         lambda: enumeration.guard_search_space(2, 2, max_space),
         lambda: leximin_solve(inst, max_space=max_space),
@@ -428,6 +451,9 @@ def test_max_space_must_be_none_or_an_integer(max_space):
         lambda: constrained_mnw_solve(inst, max_space),
         lambda: check_PO(inst, alloc, max_space),
         lambda: audit(inst, alloc, ("po",), max_space),
+        lambda: audit(inst, alloc, ("ef",), max_space),
+        # no trial runs, and alg-identical never reaches the guard
+        lambda: search_counterexamples(config, "alg-identical", ("ef",), 0, max_space),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="max_space must be None or an integer"):

@@ -10,6 +10,7 @@ from conftest import additive, general
 from fairdiv import (
     AdditiveValuation,
     Allocation,
+    GeneratorConfig,
     Instance,
     NotAdditive,
     NotChoresOnly,
@@ -18,6 +19,7 @@ from fairdiv import (
     check_PO,
     constrained_mnw_solve,
     fixture_instance,
+    generate,
     mnw_prime_solve,
     modified_nash_welfare,
     nash_prime_factors,
@@ -131,6 +133,40 @@ def test_constrained_solve_guard():
         constrained_mnw_solve(inst, max_space=1000)
 
 
+def _relabelled(inst, agents, items):
+    """Agent k of the result is agent ``agents[k]`` of ``inst``, and item
+    j is item ``items[j]``."""
+    rows = inst.valuation.matrix
+    return Instance(
+        agents=inst.agents,
+        items=tuple(inst.items[j] for j in items),
+        valuation=AdditiveValuation.of(tuple(tuple(rows[i][j] for j in items) for i in agents)),
+    )
+
+
+@pytest.mark.parametrize("solve", [constrained_mnw_solve, mnw_prime_solve])
+def test_nash_solvers_commute_with_relabelling(solve):
+    # 5 x 8 chores: the last Pareto filter of the first instance gets 10,570
+    # candidates, 166 blocks; the second has 23 tied constrained optima
+    agents, items = (3, 0, 4, 1, 2), (5, 2, 7, 0, 6, 1, 3, 4)
+    for config in (
+        GeneratorConfig(5, 8, "additive-chores", 1),
+        GeneratorConfig(5, 8, "additive-chores", 1, low=-3, high=-1, denominator=1),
+    ):
+        inst = generate(config)
+        base = solve(inst)
+        by_agents = solve(_relabelled(inst, agents, range(8)))
+        by_items = solve(_relabelled(inst, range(5), items))
+        for res in (by_agents, by_items):
+            assert res.tie_count == base.tie_count
+            assert res.score == base.score
+        if base.tie_count == 1:
+            factors = base.objective_vector
+            assert by_agents.objective_vector == tuple(factors[i] for i in agents)
+            # the same agents, so the same factors, not just their multiset
+            assert by_items.objective_vector == factors
+
+
 def _brute_front_mask(vectors):
     return [
         not any(
@@ -141,13 +177,25 @@ def _brute_front_mask(vectors):
     ]
 
 
+def _front_inputs():
+    """Distinct rows in ascending lexicographic order, as
+    _pareto_frontier hands them over, around the 64-row blocks."""
+    rng = np.random.default_rng(3)
+    # many blocks, with ties in every coordinate and in the totals
+    yield np.unique(rng.integers(0, 12, size=(1500, 3)), axis=0)
+    pool = np.unique(rng.integers(0, 8, size=(600, 3)), axis=0)
+    for count in (1, 63, 64, 65, 129):
+        yield pool[np.sort(rng.choice(len(pool), count, replace=False))]
+    yield np.unique(rng.integers(0, 200, size=(100, 1)), axis=0)
+    # row 0 is its own block, and its only dominator, row 1, shares its
+    # first coordinate and sits in the block after it
+    yield np.array([(5, 0), (5, 1)] + [(5 + k, -k) for k in range(1, 64)])
+
+
 @pytest.mark.parametrize("dtype", [np.int64, object])
 def test_pareto_front_mask_matches_pairwise_domination(dtype):
-    # two 512-row batches of 64-row chunks, with ties in every
-    # coordinate and in the totals; distinct rows in ascending
-    # lexicographic order, as _pareto_frontier hands them over
-    rng = np.random.default_rng(3)
-    vectors = np.unique(rng.integers(0, 12, size=(1500, 3)), axis=0).astype(dtype)
-    mask = _pareto_front_mask(vectors)
-    assert mask.dtype == bool
-    assert mask.tolist() == _brute_front_mask(vectors.tolist())
+    for vectors in _front_inputs():
+        vectors = vectors.astype(dtype)
+        mask = _pareto_front_mask(vectors)
+        assert mask.dtype == bool
+        assert mask.tolist() == _brute_front_mask(vectors.tolist()), len(vectors)
