@@ -22,11 +22,10 @@ from .model import format_value
 from .search import search_counterexamples
 from .serialize import (
     allocation_from_json,
-    allocation_to_dict,
     dumps,
     instance_from_json,
     instance_to_dict,
-    objective_vector_to_list,
+    result_to_dict,
 )
 
 
@@ -57,15 +56,6 @@ def _notions_option(fn):
 def _max_space_option(fn):
     """The search-space cap of every command that may enumerate."""
     return click.option("--max-space", type=int, default=None, help="Search-space cap.")(fn)
-
-
-def _score_dict(score):
-    if score is None:
-        return None
-    return {
-        "nonzero_count": score.nonzero_count,
-        "product": format_value(score.product),
-    }
 
 
 class _Group(click.Group):
@@ -111,19 +101,7 @@ def solve(instance_path, method, trace, max_space):
         result = greedy_result(inst, steps)
     else:
         result = solve_with_method(inst, method, max_space)
-    click.echo(
-        dumps(
-            {
-                "method": method,
-                "allocation": allocation_to_dict(inst, result.allocation),
-                "objective_vector": objective_vector_to_list(result.objective_vector),
-                "score": _score_dict(result.score),
-                "tie_count": result.tie_count,
-                "search_space": result.search_space,
-            }
-        ),
-        nl=False,
-    )
+    click.echo(dumps({"method": method, **result_to_dict(inst, result)}), nl=False)
 
 
 @main.command("audit")

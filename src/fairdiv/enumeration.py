@@ -19,9 +19,28 @@ n x 2^m lookup: the blocks also carry bundle masks, OR-ed per agent.
 
 Exactness: every entry is an integer under one common positive scale (the
 least common multiple of all denominators), never a float. The blocks are
-int64 only when a bound that :func:`contribution_matrix` checks up front
-proves that no entry, and no sum of a row's n entries, can overflow;
-otherwise the same code runs on ``dtype=object`` arrays of Python integers.
+int64 only when :func:`contribution_matrix` proves up front that no entry
+can leave int64. Each entry, and each partial sum on the way to it, is
+agent i's contributions summed over some set S of items, plus
+``lookup[i, S]`` when there is a lookup. So its magnitude is at most
+B = max |lookup| + the largest row sum of |contributions|, and B < 2^63
+keeps every one in int64. No consumer adds a row's n entries together;
+each of them only compares such entries or stays within [-B, B]:
+
+* leximin sorts each row and compares the columns;
+* ``mnw_prime_solve`` computes ``chunk - totals``, where ``totals[i]`` is
+  agent i's contribution sum over all items. For chores only, entry i
+  lies in [totals[i], 0], so each factor lies in [0, B], and
+  ``_nash_columns`` multiplies factors over Python integers unless their
+  products stay below 2^63;
+* ``check_PO`` compares rows with the allocation's own entries, which are
+  such entries too;
+* ``_pareto_frontier`` builds the same partial sums, item by item, and
+  only sorts, merges and compares them; ``constrained_mnw_solve`` negates
+  chores-only vectors into [0, B];
+* the lookup add, ``rows + lookup[i, masks]``, is the entry itself.
+
+Otherwise the same code runs on ``dtype=object`` arrays of Python integers.
 """
 
 from __future__ import annotations
@@ -41,9 +60,6 @@ DEFAULT_MAX_SPACE = 10_000_000
 #: up to 3^8 allocations take one pass; larger chunks buy no speed and
 #: only raise peak memory.
 ROW_BUDGET = 1 << 13
-
-#: Row entries times the agent count stay below this in the int64 path.
-INT64_LIMIT = 2**62
 
 
 def require_max_space(max_space) -> None:
@@ -98,8 +114,9 @@ def contribution_matrix(
     ``extra[i][j]``; a general table gets ``extra`` alone and a lookup of
     ``weight`` times :func:`model.scaled_table`, one row for all agents.
     ``extra`` (optional, n x m integers) holds leximin's goods and chores
-    counts. Both arrays are int64 only when n times the largest possible
-    row entry is below :data:`INT64_LIMIT`; otherwise Python integers.
+    counts. Both arrays are int64 only when the largest possible row
+    entry is below 2^63 (see the module docstring); otherwise Python
+    integers.
     """
     n, m = inst.agents, inst.m
     if extra is None:
@@ -116,7 +133,7 @@ def contribution_matrix(
         lookup = scaled_table(inst.valuation)
         bound = int(np.abs(lookup).max()) * weight
     bound += max(sum(abs(entry) for entry in row) for row in contributions)
-    dtype = np.int64 if n * bound < INT64_LIMIT else object
+    dtype = np.int64 if bound < 2**63 else object
     contributions = np.array(contributions, dtype=dtype).reshape(n, m)
     if lookup is not None:
         lookup = np.broadcast_to(lookup.astype(dtype, copy=False) * weight, (n, 1 << m))

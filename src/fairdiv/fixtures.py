@@ -1,41 +1,25 @@
 """Built-in counterexample fixtures.
 
-Each fixture pins one solver to one chores instance: the solver must
-return the pinned allocation with the pinned scores, and that allocation
-must fail the pinned fairness notion with the pinned witness. Any
-divergence raises :class:`FixtureMismatch` with a full diff, making these
-instances golden tests for the whole pipeline.
+Each fixture pins one solver to one chores instance and one expected
+document: what ``fairdiv solve`` prints for the solver's result, without
+the method, plus the ``witness`` with which that allocation fails the
+pinned fairness notion. :func:`run_fixture` renders the same document
+from a fresh solve and check and compares it key by key; any divergence
+raises :class:`FixtureMismatch` listing every key that differs, making
+these instances golden tests for the whole pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .audit import (
-    CheckResult,
-    Ef1Witness,
-    Prop1Witness,
-    Verdict,
-    check_EF1,
-    check_PROP1,
-)
+from .audit import check_EF1, check_PROP1
 from .errors import FixtureMismatch
 from .methods import solve_with_method
 from .model import AdditiveValuation, Allocation, Instance, SolveResult
-from .serialize import allocation_to_dict, objective_vector_to_list
-from .welfare import WelfareScore
+from .serialize import allocation_to_dict, result_to_dict
 
 _FAILURE_CHECKS = {"ef1": check_EF1, "prop1": check_PROP1}
-
-
-def _chores(items: str, rows) -> Instance:
-    """An additive instance with one agent per row of exact values."""
-    return Instance(
-        len(rows),
-        tuple(items),
-        AdditiveValuation.of(rows),
-    )
 
 
 @dataclass(frozen=True)
@@ -43,11 +27,15 @@ class FixtureSpec:
     name: str
     instance: Instance
     method: str
-    expected_assignment: tuple[int, ...]
-    expected_vector: tuple
-    expected_score: object
     failure_notion: str
-    expected_witness: object
+    expected: dict
+
+
+def _spec(name: str, items: str, rows, method: str, notion: str, **expected) -> FixtureSpec:
+    """A fixture on an additive instance with one agent per row of exact
+    values, its pinned document given key by key."""
+    inst = Instance(len(rows), tuple(items), AdditiveValuation.of(rows))
+    return FixtureSpec(name, inst, method, notion, expected)
 
 
 @dataclass(frozen=True)
@@ -74,135 +62,85 @@ class FixtureReport:
         }
 
 
-def _table1() -> FixtureSpec:
-    # Five agents, seven chores. Agent 1's mild chores a, b, c are severe
-    # for everyone else; each row totals -55. The leximin allocation
-    # fails PROP1: agent 1 stays below -11 even after her best removal.
-    heavy = ("-18.1",) * 3
-    light = (
-        ("-0.1", "-0.2", "-0.2", "-0.2"),
-        ("-0.2", "-0.1", "-0.2", "-0.2"),
-        ("-0.2", "-0.2", "-0.1", "-0.2"),
-        ("-0.2", "-0.2", "-0.2", "-0.1"),
-    )
-    rows = [(-6, -6, -6, -9, -9, -9, -10)] + [heavy + row for row in light]
-    inst = _chores("abcdefg", rows)
-    return FixtureSpec(
-        name="table1",
-        instance=inst,
-        method="leximin",
-        expected_assignment=(0, 0, 0, 1, 2, 3, 4),
-        expected_vector=(
-            (Fraction(-18),),
-            (Fraction("-1/10"),),
-            (Fraction("-1/10"),),
-            (Fraction("-1/10"),),
-            (Fraction("-1/10"),),
-        ),
-        expected_score=None,
-        failure_notion="prop1",
-        expected_witness=Prop1Witness(
-            agent=0,
-            value=Fraction(-18),
-            best_adjusted=Fraction(-12),
-            threshold=Fraction(-11),
-        ),
-    )
-
-
-def _mnw() -> FixtureSpec:
-    # Three agents, five chores. The modified-Nash optimum spares agent 1
-    # the severe chores d, e but still fails PROP1 at agent 1.
-    inst = _chores(
-        "abcde",
-        [
-            (-6, -6, -6, -7, -8),
-            (-10, -10, -10, -1, -2),
-            (-10, -10, -10, -2, -1),
-        ],
-    )
-    return FixtureSpec(
-        name="mnw",
-        instance=inst,
-        method="mnw-prime",
-        expected_assignment=(0, 0, 0, 1, 2),
-        expected_vector=(Fraction(15), Fraction(32), Fraction(32)),
-        expected_score=WelfareScore(3, Fraction(15360)),
-        failure_notion="prop1",
-        expected_witness=Prop1Witness(
-            agent=0,
-            value=Fraction(-18),
-            best_adjusted=Fraction(-12),
-            threshold=Fraction(-11),
-        ),
-    )
-
-
-def _mnw2() -> FixtureSpec:
-    # Three agents, five chores. The constrained-Nash optimum fails EF1:
-    # agent 1 envies agent 2 even after any single adjustment.
-    inst = _chores(
-        "abcde",
-        [
-            (-2, -3, -3, -3, -9),
-            (-2, -3, -9, -2, -4),
-            (-1, -1, -1, -5, -12),
-        ],
-    )
-    return FixtureSpec(
-        name="mnw2",
-        instance=inst,
-        method="mnw-constrained",
-        expected_assignment=(0, 0, 0, 1, 2),
-        expected_vector=(Fraction(8), Fraction(2), Fraction(12)),
-        expected_score=WelfareScore(3, Fraction(192)),
-        failure_notion="ef1",
-        expected_witness=Ef1Witness(
-            i=0,
-            j=1,
-            own=Fraction(-8),
-            other=Fraction(-3),
-            best_target=Fraction(-6),
-        ),
-    )
-
-
-def _mnw3() -> FixtureSpec:
-    # Five agents, seven chores. The constrained-Nash optimum fails PROP1
-    # at agent 1, whose best removal still leaves her below -10.
-    rows = [
-        ("-10.3", "-12.2", "-10", "-2.2", "-12.7", "-1.1", "-1.5"),
-        ("-7.9", "-9.4", "-1.4", "-5.7", "-7.4", "-10.3", "-7.9"),
-        ("-9.8", "-6", "-6.5", "-9.6", "-6.8", "-7.4", "-3.9"),
-        ("-7.5", "-10.1", "-2.5", "-8.1", "-8", "-6.6", "-7.2"),
-        ("-10.5", "-6.3", "-6.4", "-1", "-6.1", "-13.7", "-6"),
-    ]
-    inst = _chores("abcdefg", rows)
-    return FixtureSpec(
-        name="mnw3",
-        instance=inst,
-        method="mnw-constrained",
-        expected_assignment=(0, 0, 1, 1, 2, 3, 4),
-        expected_vector=(
-            Fraction("45/2"),
-            Fraction("71/10"),
-            Fraction("34/5"),
-            Fraction("33/5"),
-            Fraction(6),
-        ),
-        expected_score=WelfareScore(5, Fraction("1075437/25")),
-        failure_notion="prop1",
-        expected_witness=Prop1Witness(
-            agent=0,
-            value=Fraction("-45/2"),
-            best_adjusted=Fraction("-103/10"),
-            threshold=Fraction(-10),
-        ),
-    )
-
+_LIGHT = (
+    ("-0.1", "-0.2", "-0.2", "-0.2"),
+    ("-0.2", "-0.1", "-0.2", "-0.2"),
+    ("-0.2", "-0.2", "-0.1", "-0.2"),
+    ("-0.2", "-0.2", "-0.2", "-0.1"),
+)
 
 FIXTURES: dict[str, FixtureSpec] = {
-    spec.name: spec for spec in (_table1(), _mnw(), _mnw2(), _mnw3())
+    spec.name: spec
+    for spec in (
+        # Five agents, seven chores. Agent 1's mild chores a, b, c are
+        # severe for everyone else; each row totals -55. The leximin
+        # allocation fails PROP1: agent 1 stays below -11 even after its
+        # best removal.
+        _spec(
+            "table1",
+            "abcdefg",
+            [(-6, -6, -6, -9, -9, -9, -10)] + [("-18.1",) * 3 + row for row in _LIGHT],
+            "leximin",
+            "prop1",
+            allocation={"bundles": [["a", "b", "c"], ["d"], ["e"], ["f"], ["g"]]},
+            objective_vector=[["-18"], ["-0.1"], ["-0.1"], ["-0.1"], ["-0.1"]],
+            score=None,
+            tie_count=1,
+            search_space=78125,
+            witness={"agent": 0, "value": "-18", "best_adjusted": "-12", "threshold": "-11"},
+        ),
+        # Three agents, five chores. The modified-Nash optimum spares agent
+        # 1 the severe chores d, e but still fails PROP1 at agent 1.
+        _spec(
+            "mnw",
+            "abcde",
+            [(-6, -6, -6, -7, -8), (-10, -10, -10, -1, -2), (-10, -10, -10, -2, -1)],
+            "mnw-prime",
+            "prop1",
+            allocation={"bundles": [["a", "b", "c"], ["d"], ["e"]]},
+            objective_vector=["15", "32", "32"],
+            score={"nonzero_count": 3, "product": "15360"},
+            tie_count=1,
+            search_space=243,
+            witness={"agent": 0, "value": "-18", "best_adjusted": "-12", "threshold": "-11"},
+        ),
+        # Three agents, five chores. The constrained-Nash optimum fails
+        # EF1: agent 1 envies agent 2 even after any single adjustment.
+        _spec(
+            "mnw2",
+            "abcde",
+            [(-2, -3, -3, -3, -9), (-2, -3, -9, -2, -4), (-1, -1, -1, -5, -12)],
+            "mnw-constrained",
+            "ef1",
+            allocation={"bundles": [["a", "b", "c"], ["d"], ["e"]]},
+            objective_vector=["8", "2", "12"],
+            score={"nonzero_count": 3, "product": "192"},
+            tie_count=1,
+            search_space=243,
+            witness={"i": 0, "j": 1, "own": "-8", "other": "-3", "best_target": "-6"},
+        ),
+        # Five agents, seven chores. The constrained-Nash optimum fails
+        # PROP1 at agent 1, whose best removal still leaves it below -10.
+        _spec(
+            "mnw3",
+            "abcdefg",
+            [
+                ("-10.3", "-12.2", "-10", "-2.2", "-12.7", "-1.1", "-1.5"),
+                ("-7.9", "-9.4", "-1.4", "-5.7", "-7.4", "-10.3", "-7.9"),
+                ("-9.8", "-6", "-6.5", "-9.6", "-6.8", "-7.4", "-3.9"),
+                ("-7.5", "-10.1", "-2.5", "-8.1", "-8", "-6.6", "-7.2"),
+                ("-10.5", "-6.3", "-6.4", "-1", "-6.1", "-13.7", "-6"),
+            ],
+            "mnw-constrained",
+            "prop1",
+            allocation={"bundles": [["a", "b"], ["c", "d"], ["e"], ["f"], ["g"]]},
+            objective_vector=["22.5", "7.1", "6.8", "6.6", "6"],
+            score={"nonzero_count": 5, "product": "43017.48"},
+            tie_count=1,
+            search_space=78125,
+            witness={"agent": 0, "value": "-22.5", "best_adjusted": "-10.3", "threshold": "-10"},
+        ),
+    )
 }
 
 FIXTURE_NAMES = tuple(FIXTURES)
@@ -212,63 +150,29 @@ def fixture_instance(name: str) -> Instance:
     return FIXTURES[name].instance
 
 
-def _describe(label: str, expected, actual) -> str:
-    return f"{label}:\n  expected {expected!r}\n  actual   {actual!r}"
-
-
 def run_fixture(name: str, max_space: int | None = None) -> FixtureReport:
     """Re-verify one fixture end to end.
 
-    Runs the pinned solver, compares allocation, score vector and
-    aggregate score against the pinned values, then re-checks that the
-    pinned fairness notion fails with the pinned witness. Raises
-    :class:`FixtureMismatch` listing every divergence.
+    Runs the pinned solver and checks the pinned notion on its result,
+    renders both as the pinned document is written (``witness`` is None
+    when the notion holds) and compares the two key by key. Raises
+    :class:`FixtureMismatch` listing every key that differs.
     """
     try:
         spec = FIXTURES[name]
     except KeyError:
         raise FixtureMismatch(name, "no such fixture") from None
     result = solve_with_method(spec.instance, spec.method, max_space)
-    diffs = []
-    if result.allocation.assignment != spec.expected_assignment:
-        expected_bundles = allocation_to_dict(
-            spec.instance, Allocation(spec.instance.agents, spec.expected_assignment)
-        )
-        actual_bundles = allocation_to_dict(spec.instance, result.allocation)
-        diffs.append(_describe("allocation", expected_bundles, actual_bundles))
-    if result.objective_vector != spec.expected_vector:
-        diffs.append(
-            _describe(
-                "objective vector",
-                objective_vector_to_list(spec.expected_vector),
-                objective_vector_to_list(result.objective_vector),
-            )
-        )
-    if spec.expected_score is not None and result.score != spec.expected_score:
-        diffs.append(_describe("score", spec.expected_score, result.score))
-    check = _FAILURE_CHECKS[spec.failure_notion]
-    outcome: CheckResult = check(spec.instance, result.allocation)
-    if outcome.verdict is not Verdict.FAILS:
-        diffs.append(
-            _describe(
-                f"{spec.failure_notion} verdict", Verdict.FAILS, outcome.verdict
-            )
-        )
-    elif outcome.witness != spec.expected_witness:
-        diffs.append(
-            _describe(
-                f"{spec.failure_notion} witness",
-                spec.expected_witness,
-                outcome.witness,
-            )
-        )
+    witness = _FAILURE_CHECKS[spec.failure_notion](spec.instance, result.allocation).witness
+    actual = result_to_dict(spec.instance, result)
+    actual["witness"] = None if witness is None else witness.as_dict(spec.instance)
+    diffs = [
+        f"{key}:\n  expected {spec.expected.get(key)!r}\n  actual   {got!r}"
+        for key, got in actual.items()
+        if spec.expected.get(key) != got
+    ]
     if diffs:
         raise FixtureMismatch(name, "\n".join(diffs))
     return FixtureReport(
-        name=name,
-        method=spec.method,
-        allocation=result.allocation,
-        result=result,
-        failure_notion=spec.failure_notion,
-        failure_witness=outcome.witness,
+        name, spec.method, result.allocation, result, spec.failure_notion, witness
     )

@@ -17,6 +17,7 @@ from .model import (
     Allocation,
     GeneralIdenticalValuation,
     Instance,
+    SolveResult,
     format_table,
     format_value,
     validate_instance,
@@ -137,6 +138,20 @@ def objective_vector_to_list(vector) -> list:
             entry = format_value(entry)
         out.append(entry)
     return out
+
+
+def result_to_dict(inst: Instance, result: SolveResult) -> dict:
+    """A solve result as ``fairdiv solve`` prints it, without the method."""
+    score = result.score
+    if score is not None:
+        score = {"nonzero_count": score.nonzero_count, "product": format_value(score.product)}
+    return {
+        "allocation": allocation_to_dict(inst, result.allocation),
+        "objective_vector": objective_vector_to_list(result.objective_vector),
+        "score": score,
+        "tie_count": result.tie_count,
+        "search_space": result.search_space,
+    }
 
 
 #: Encoder chunks joined per ``write`` call by :func:`dump`.

@@ -2,14 +2,12 @@
 
 import dataclasses
 import json
-from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 from fairdiv import (
     Allocation,
-    WelfareScore,
     allocation_to_dict,
     fixture_instance,
     instance_to_dict,
@@ -224,14 +222,15 @@ def test_fixture_command(tmp_path):
 
 
 def test_fixture_divergence_exits_two(monkeypatch):
-    broken = dataclasses.replace(
-        FIXTURES["mnw2"], expected_score=WelfareScore(3, Fraction(191))
-    )
+    spec = FIXTURES["mnw2"]
+    score = {"nonzero_count": 3, "product": "191"}
+    broken = dataclasses.replace(spec, expected={**spec.expected, "score": score})
     monkeypatch.setitem(FIXTURES, "mnw2", broken)
     res = runner.invoke(main, ["fixture", "--name", "mnw2"])
     assert res.exit_code == 2
     assert res.stdout == ""
-    assert res.stderr.startswith("error: fixture 'mnw2' diverged")
+    assert res.stderr.startswith("error: fixture 'mnw2' diverged:\nscore:\n")
+    assert "'product': '191'" in res.stderr
 
 
 def test_search_exit_one_when_a_violation_is_found():

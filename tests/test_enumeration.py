@@ -336,7 +336,7 @@ HUGE = (10**20 + 39, 2**70 + 1)
 
 
 def huge_rows(sign):
-    """3 x 4 values over denominators whose lcm exceeds 2^62."""
+    """3 x 4 values over denominators whose lcm exceeds 2^63."""
     numerators = [(1, 3, 2, 5), (4, 1, 1, 2), (2, 2, 6, 1)]
     return [
         [Fraction(sign * k, HUGE[(i + j) % 2]) for j, k in enumerate(row)]
@@ -418,6 +418,29 @@ def test_leximin_weight_past_int64_takes_the_exact_path():
     assert inst.valuation.scale == 1
     assert contribution_matrix(inst, inst.m + 1)[1].dtype == object
     assert_leximin_matches(inst, SPEC_NAMES["leximin++"])
+
+
+def test_row_sums_up_to_2_63_stay_int64():
+    # At scale 1 the bound is the largest row sum of |values|. At 2^63 - 1
+    # every entry fits int64. At 2^63 the leximin optimum of the goods
+    # gives agent 0 a bundle worth 2^63, and the mnw-prime optimum of the
+    # chores spares agent 0 an aversion of 2^63: int64 would wrap both
+    # negative, so both instances must take the exact path.
+    half = 2**62
+    for top, dtype in ((half - 1, np.int64), (half, object)):
+        goods = additive([(half, top, 0), (0, 0, 1)])
+        chores = additive([(-half, -top), (-1, -2), (-2, -1)])
+        for inst in (goods, chores):
+            assert contribution_matrix(inst)[0].dtype == dtype
+            for spec in SPECS:
+                assert_leximin_matches(inst, spec)
+        assert leximin_solve(goods).allocation.assignment == (0, 0, 1)
+        assert mnw_prime_solve(chores).allocation.assignment == (1, 2)
+        assert_mnw_prime_matches(chores)
+        assert_constrained_matches(chores)
+        assert_frontier_matches(goods)
+        assert_po_matches(goods, Allocation(2, (0, 1, 1)))
+        assert_po_matches(chores, Allocation(3, (0, 1)))
 
 
 # ------------------------------------------------------ chunk boundaries

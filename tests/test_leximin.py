@@ -1,5 +1,6 @@
 """Objective tuples, the leximin preorder and the exhaustive solver."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -11,11 +12,14 @@ from fairdiv import (
     UTILITY,
     UTILITY_GOODS,
     UTILITY_GOODS_CHORES,
+    AdditiveValuation,
     Allocation,
+    GeneratorConfig,
     ObjectiveSpec,
     SearchSpaceTooLarge,
     agent_ordering,
     fixture_instance,
+    generate,
     is_leximin_optimal,
     leximin_solve,
     objective,
@@ -225,3 +229,53 @@ def test_solver_matches_pairwise_maxima_oracle():
     assert res.tie_count == len(maxima)
     for a in maxima:
         assert is_leximin_optimal(inst, UTILITY, a)
+
+
+# ------------------------------------------------------ metamorphic relations
+
+def _transformed(inst, agents, items, factor=1):
+    """Agent k of the result is agent ``agents[k]`` of ``inst`` and item j is
+    item ``items[j]``, every value times ``factor``."""
+    if isinstance(inst.valuation, AdditiveValuation):
+        return additive([[factor * value(inst, i, 1 << j) for j in items] for i in agents])
+    table = [
+        factor * value(inst, 0, sum(1 << items[j] for j in range(inst.m) if mask >> j & 1))
+        for mask in range(1 << inst.m)
+    ]
+    return general(inst.agents, table)
+
+
+#: Generator configurations, three seeds each; the integer grid of
+#: values -2..2 makes tied optima common on additive rows too.
+METAMORPHIC_CONFIGS = (
+    ("additive-mixed", 4, 7, {}),
+    ("additive-mixed", 4, 6, {"low": -2, "high": 2, "denominator": 1}),
+    ("additive-chores", 5, 6, {}),
+    ("additive-chores", 3, 7, {"low": -2, "high": 2, "denominator": 1}),
+    ("general-identical", 3, 7, {}),
+    ("general-identical-nonzero-marginal", 4, 6, {}),
+)
+
+
+@pytest.mark.parametrize("method", SPEC_NAMES)
+def test_leximin_solvers_keep_metamorphic_relations(method):
+    # relabelling agents or permuting items keeps the objective vector and
+    # the tie count; scaling every value by c > 0 scales the values (the
+    # counts of the ++ and -gc specs stay) and keeps the tie count
+    spec = SPEC_NAMES[method]
+    for family, n, m, options in METAMORPHIC_CONFIGS:
+        for seed in (1, 2, 3):
+            inst = generate(GeneratorConfig(n, m, family, seed, **options))
+            rng = random.Random(seed)
+            agents, items = rng.sample(range(n), n), rng.sample(range(m), m)
+            factor = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            base = leximin_solve(inst, spec)
+            scaled = tuple((factor * v, *counts) for v, *counts in base.objective_vector)
+            for changed, vector in (
+                (_transformed(inst, agents, range(m)), base.objective_vector),
+                (_transformed(inst, range(n), items), base.objective_vector),
+                (_transformed(inst, range(n), range(m), factor), scaled),
+            ):
+                res = leximin_solve(changed, spec)
+                assert res.objective_vector == vector
+                assert res.tie_count == base.tie_count
