@@ -46,6 +46,7 @@ from .model import (
     require_allocation,
     scaled_value,
 )
+from .serialize import allocation_to_dict
 
 GOOD_REMOVAL = "good-removal"
 CHORE_COPY = "chore-copy"
@@ -60,16 +61,18 @@ class Verdict(Enum):
 
 class _Witness:
     """Renders a witness dataclass field by field, in field order: exact
-    values as strings, and the field ``item`` by name when an instance is
-    given."""
+    values as strings, the field ``item`` by name, and an allocation as
+    its bundles of item names."""
 
-    def as_dict(self, inst: Instance | None = None) -> dict:
+    def as_dict(self, inst: Instance) -> dict:
         out = {}
         for field in fields(self):
             entry = getattr(self, field.name)
             if isinstance(entry, Fraction):
                 entry = format_value(entry)
-            elif field.name == "item" and inst is not None and entry is not None:
+            elif isinstance(entry, Allocation):
+                entry = allocation_to_dict(inst, entry)["bundles"]
+            elif field.name == "item" and entry is not None:
                 entry = inst.items[entry]
             out[field.name] = entry
         return out
@@ -143,32 +146,19 @@ class Prop1Witness(_Witness):
 
 
 @dataclass(frozen=True)
-class PoWitness:
+class PoWitness(_Witness):
     """An allocation that weakly improves everyone and strictly improves
     at least one agent."""
 
     improvement: Allocation
 
-    def as_dict(self, inst: Instance | None = None) -> dict:
-        if inst is None:
-            return {"improvement": list(self.improvement.assignment)}
-        return {
-            "improvement": [
-                list(inst.bundle_names(mask))
-                for mask in self.improvement.bundles()
-            ]
-        }
-
 
 @dataclass(frozen=True)
-class GuardWitness:
+class GuardWitness(_Witness):
     """A check was skipped because its search space exceeds the cap."""
 
-    size: int
+    search_space: int
     limit: int
-
-    def as_dict(self, inst: Instance | None = None) -> dict:
-        return {"search_space": self.size, "limit": self.limit}
 
 
 @dataclass(frozen=True)
@@ -382,7 +372,7 @@ class FairnessReport:
     def all_hold(self) -> bool:
         return all(res.verdict is Verdict.HOLDS for _, res in self.results)
 
-    def as_list(self, inst: Instance | None = None) -> list[dict]:
+    def as_list(self, inst: Instance) -> list[dict]:
         out = []
         for name, res in self.results:
             if res.verdict is Verdict.NOT_APPLICABLE:

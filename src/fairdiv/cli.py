@@ -30,13 +30,14 @@ from .serialize import (
 
 
 def _load(path: str, parse):
-    """``parse`` applied to a file's text, with unreadable files and
-    invalid JSON reported as errors."""
+    """``parse`` applied to a file's text, with unreadable files and invalid
+    JSON (not UTF-8, or nested past the decoder's recursion limit) reported
+    as errors that name the file."""
     try:
-        return parse(Path(path).read_text())
+        return parse(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise FairdivError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FairdivError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .audit import check_EF1, check_PROP1
 from .errors import FixtureMismatch
 from .methods import solve_with_method
-from .model import AdditiveValuation, Allocation, Instance, SolveResult
-from .serialize import allocation_to_dict, result_to_dict
+from .model import AdditiveValuation, Instance, SolveResult
+from .serialize import result_to_dict
 
 _FAILURE_CHECKS = {"ef1": check_EF1, "prop1": check_PROP1}
 
@@ -40,25 +40,26 @@ def _spec(name: str, items: str, rows, method: str, notion: str, **expected) -> 
 
 @dataclass(frozen=True)
 class FixtureReport:
-    """A verified fixture run."""
+    """A verified fixture run. ``document`` is the solve result and witness
+    as rendered for the comparison with the pinned document."""
 
     name: str
     method: str
-    allocation: Allocation
     result: SolveResult
     failure_notion: str
     failure_witness: object
+    document: dict
 
     def as_dict(self) -> dict:
-        inst = FIXTURES[self.name].instance
+        doc = self.document
         return {
             "name": self.name,
             "method": self.method,
-            "allocation": allocation_to_dict(inst, self.allocation),
-            "tie_count": self.result.tie_count,
-            "search_space": self.result.search_space,
+            "allocation": doc["allocation"],
+            "tie_count": doc["tie_count"],
+            "search_space": doc["search_space"],
             "fails": self.failure_notion,
-            "witness": self.failure_witness.as_dict(inst),
+            "witness": doc["witness"],
         }
 
 
@@ -173,6 +174,4 @@ def run_fixture(name: str, max_space: int | None = None) -> FixtureReport:
     ]
     if diffs:
         raise FixtureMismatch(name, "\n".join(diffs))
-    return FixtureReport(
-        name, spec.method, result.allocation, result, spec.failure_notion, witness
-    )
+    return FixtureReport(name, spec.method, result, spec.failure_notion, witness, actual)

@@ -66,7 +66,9 @@ class GeneratorConfig:
     ``rescale_total`` optionally rescales every agent of an additive
     instance to that common grand-bundle value. ``low``, ``high`` and
     ``rescale_total`` go through :func:`parse_value`: a float raises ``ValueError``,
-    as does any count that is not an ``int`` (a bool included).
+    as does any count that is not an ``int`` (a bool included) and a
+    ``seed`` that is not a nonnegative ``int``: ``random.Random`` would seed
+    None from the operating system and -5 as 5.
     """
 
     agents: int
@@ -86,9 +88,11 @@ class GeneratorConfig:
                 object.__setattr__(self, name, parse_value(getattr(self, name)))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        for name in ("agents", "items", "denominator", "weight_max", "perturb_max"):
+        for name in ("agents", "items", "seed", "denominator", "weight_max", "perturb_max"):
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
+        if self.seed < 0:
+            raise ValueError(f"seed cannot be negative, got {self.seed}")
         if self.agents < 1:
             raise ValueError("need at least one agent")
         if self.items < 0:

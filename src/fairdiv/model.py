@@ -11,6 +11,7 @@ is integer arithmetic.
 from __future__ import annotations
 
 import re
+import sys
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,7 +66,9 @@ def parse_pair(text: Union[str, int, Fraction]) -> tuple[int, int]:
     whatever the running interpreter: "-18.1" gives (-181, 10), "3/6"
     gives (1, 2), " 1_000 " gives (1000, 1) and "2.5e-3" gives (1, 400).
     Anything else, a zero denominator, a float or a bool included, raises
-    ``ValueError``.
+    ``ValueError``, as does an exponent past the interpreter's digit limit
+    (``sys.get_int_max_str_digits()``; 0 or absent is no limit), which
+    ``int()`` already applies to the digits.
     """
     if not isinstance(text, str):
         if isinstance(text, bool):
@@ -90,6 +93,9 @@ def parse_pair(text: Union[str, int, Fraction]) -> tuple[int, int]:
             num = num * den + int(decimal)
         if exp is not None:
             exp = int(exp)
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if limit and abs(exp) > limit:
+                raise ValueError(f"exponent of {text!r} exceeds {limit}")
             if exp >= 0:
                 num *= 10**exp
             else:

@@ -37,9 +37,7 @@ class Violation:
             "instance": instance_to_dict(self.instance),
             "allocation": allocation_to_dict(self.instance, self.allocation),
             "notion": self.notion,
-            "witness": self.result.witness.as_dict(self.instance)
-            if self.result.witness is not None
-            else None,
+            "witness": self.result.witness.as_dict(self.instance),
         }
 
 

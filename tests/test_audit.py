@@ -18,6 +18,7 @@ from fairdiv import (
     EfxWitness,
     EnvyWitness,
     GuardWitness,
+    PoWitness,
     Prop1Witness,
     PropWitness,
     SearchSpaceTooLarge,
@@ -481,26 +482,29 @@ def test_eliminate_postconditions_on_random_instances():
 def test_witness_rendering():
     inst = additive([(-1, 2, 3)])
     third = Fraction(1, 3)
-    assert EnvyWitness(0, 1, Fraction(-1), third).as_dict() == {
+    assert EnvyWitness(0, 1, Fraction(-1), third).as_dict(inst) == {
         "i": 0, "j": 1, "own": "-1", "other": "1/3",
     }
     efx = EfxWitness(0, 1, 2, "good-removal", Fraction(-1), Fraction(1, 2))
     assert efx.as_dict(inst) == {
         "i": 0, "j": 1, "item": "c", "side": "good-removal", "own": "-1", "adjusted": "0.5",
     }
-    assert efx.as_dict()["item"] == 2
     vacuous = EfxWitness(0, 1, None, NO_ADJUSTMENT, Fraction(-1), third)
     assert vacuous.as_dict(inst)["item"] is None
     assert Ef1Witness(1, 0, Fraction(-1), third, None).as_dict(inst) == {
         "i": 1, "j": 0, "own": "-1", "other": "1/3", "best_target": None,
     }
-    assert Ef1Witness(1, 0, Fraction(-1), third, third).as_dict()["best_target"] == "1/3"
-    assert PropWitness(2, Fraction(-3), third).as_dict() == {
+    assert Ef1Witness(1, 0, Fraction(-1), third, third).as_dict(inst)["best_target"] == "1/3"
+    assert PropWitness(2, Fraction(-3), third).as_dict(inst) == {
         "agent": 2, "value": "-3", "threshold": "1/3",
     }
-    assert Prop1Witness(2, Fraction(-3), Fraction(-2), third).as_dict() == {
+    assert Prop1Witness(2, Fraction(-3), Fraction(-2), third).as_dict(inst) == {
         "agent": 2, "value": "-3", "best_adjusted": "-2", "threshold": "1/3",
     }
+    assert PoWitness(Allocation(2, (1, 0, 1))).as_dict(inst) == {
+        "improvement": [["b"], ["a", "c"]],
+    }
+    assert GuardWitness(243, 10).as_dict(inst) == {"search_space": 243, "limit": 10}
 
 
 # ------------------------------------------------------------ metamorphic

@@ -332,6 +332,25 @@ def test_missing_file_and_invalid_json_exit_two(tmp_path):
     assert "not valid JSON" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "content", [b"[" * 2000, b"\xff{}"], ids=["nested-past-the-recursion-limit", "not-utf-8"]
+)
+def test_a_bad_file_is_named_and_exits_two(tmp_path, content):
+    inst, instance_path = write_instance(tmp_path, "mnw2")
+    allocation_path = write_allocation(tmp_path, inst, (0, 0, 0, 1, 2))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    for args in (
+        ["solve", "--instance", str(bad), "--method", "leximin"],
+        ["audit", "--instance", str(bad), "--allocation", allocation_path],
+        ["audit", "--instance", instance_path, "--allocation", str(bad)],
+    ):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, args
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"error: {bad} is not valid JSON: ")
+
+
 def test_unwritable_gen_out_exits_two(tmp_path):
     out = tmp_path / "missing" / "inst.json"
     res = runner.invoke(main, GEN_ARGS + ["--out", str(out)])
@@ -396,6 +415,11 @@ def test_malformed_bundles_exit_two(tmp_path, bundles):
             for table in (["0", "1/0"], ["0", 0.5], ["0", True], ["0", "1 /2"])
         ),
         {"agents": 1, "items": ["a"], "valuation": {"type": "additive", "matrix": [["1__0"]]}},
+        {
+            "agents": 1,
+            "items": ["a"],
+            "valuation": {"type": "additive", "matrix": [["1e999999999"]]},
+        },
     ],
     ids=[
         "additive-without-matrix",
@@ -407,6 +431,7 @@ def test_malformed_bundles_exit_two(tmp_path, bundles):
         "bool-entry",
         "space-before-slash",
         "double-underscore",
+        "huge-exponent",
     ],
 )
 def test_malformed_instance_exits_two(tmp_path, document):

@@ -1,7 +1,11 @@
 """Golden failure instances re-verified from scratch."""
 
 import dataclasses
+import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -46,7 +50,7 @@ def test_pinned_values_spot_checks():
     assert t1.failure_notion == "prop1"
     assert t1.expected["witness"] == Prop1Witness(
         0, Fraction(-18), Fraction(-12), Fraction(-11)
-    ).as_dict()
+    ).as_dict(t1.instance)
     mnw = FIXTURES["mnw"]
     assert mnw.method == "mnw-prime"
     assert mnw.expected["score"] == {"nonzero_count": 3, "product": "15360"}
@@ -56,7 +60,7 @@ def test_pinned_values_spot_checks():
     assert mnw2.expected["score"] == {"nonzero_count": 3, "product": "192"}
     assert mnw2.expected["witness"] == Ef1Witness(
         0, 1, Fraction(-8), Fraction(-3), Fraction(-6)
-    ).as_dict()
+    ).as_dict(mnw2.instance)
     mnw3 = FIXTURES["mnw3"]
     assert mnw3.method == "mnw-constrained"
     assert mnw3.expected["score"] == {
@@ -76,6 +80,22 @@ def test_pinned_documents_have_the_keys_solve_prints():
     for spec in FIXTURES.values():
         result = solve_with_method(spec.instance, spec.method)
         assert list(spec.expected) == [*result_to_dict(spec.instance, result), "witness"]
+
+
+def test_a_traced_fixture_renders_its_allocation_once(tmp_path):
+    # run_fixture renders the solve result to compare it with the pinned
+    # document, and the printed report reuses that rendering
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "spans.json"
+    subprocess.run(
+        [sys.executable, "-B", str(root / "perfbench" / "spans.py"), str(out),
+         "fixture", "--name", "mnw"],
+        env={"PATH": "", "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        check=True,
+    )
+    names = [span[0] for span in json.loads(out.read_text())["spans"]]
+    assert names.count("serialize.allocation_to_dict") == 1
 
 
 def test_unknown_fixture_name():

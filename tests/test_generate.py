@@ -180,6 +180,14 @@ def test_config_rejects_a_count_that_is_not_an_int(field, bad):
         cfg(**{field: bad})
 
 
+@pytest.mark.parametrize("bad", [None, "5", 1.5, True, -5], ids=repr)
+def test_config_rejects_a_seed_that_is_not_a_nonnegative_int(bad):
+    # random.Random(None) seeds from the operating system and
+    # random.Random(-5) draws what random.Random(5) draws
+    with pytest.raises(ValueError, match="seed"):
+        cfg(seed=bad)
+
+
 def test_config_parses_its_values_once():
     config = cfg(low="-1.5", high="1/2", rescale_total=-2)
     assert (config.low, config.high, config.rescale_total) == (

@@ -2,6 +2,7 @@
 bundle values, rescaling and the aversion view."""
 
 import gc
+import re
 import sys
 import weakref
 from fractions import Fraction
@@ -123,7 +124,33 @@ def test_parse_pair_accepts_what_fraction_accepts(text):
         with pytest.raises(ValueError):
             parse_pair(text)
     else:
-        assert parse_pair(text) == (expected.numerator, expected.denominator)
+        exponent = re.search(r"e([-+]?[\d_]+)", text, re.IGNORECASE)
+        if exponent and abs(int(exponent[1])) > sys.get_int_max_str_digits():
+            with pytest.raises(ValueError, match="exponent"):
+                parse_pair(text)
+        else:
+            assert parse_pair(text) == (expected.numerator, expected.denominator)
+
+
+@pytest.mark.parametrize("text", ["1e4301", "-2.5E-4301", "1e999999999", "1e-999999999"])
+def test_parse_pair_refuses_an_exponent_past_the_digit_limit(text):
+    with pytest.raises(ValueError, match="exponent"):
+        parse_pair(text)
+
+
+def test_the_exponent_limit_is_the_interpreters_digit_limit():
+    assert parse_pair("1e4300") == (10**4300, 1)
+    assert parse_pair("1e-4300") == (1, 10**4300)
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert parse_pair("1e640") == (10**640, 1)
+        with pytest.raises(ValueError, match="exponent"):
+            parse_pair("1e641")
+        sys.set_int_max_str_digits(0)
+        assert parse_pair("1e5000") == (10**5000, 1)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_format_value_decimal_when_finite():
