@@ -27,7 +27,6 @@ from .audit import (
     CheckResult,
     Ef1Witness,
     EfxWitness,
-    EnvyGraph,
     EnvyWitness,
     FairnessReport,
     GuardWitness,
@@ -36,15 +35,12 @@ from .audit import (
     PropWitness,
     Verdict,
     audit,
-    build_envy_graph,
     check_EF,
     check_EF1,
     check_EFX,
     check_PO,
     check_PROP,
     check_PROP1,
-    eliminate_envy_cycles,
-    envies,
 )
 from .enumeration import DEFAULT_MAX_SPACE, guard_search_space
 from .errors import (
@@ -69,9 +65,7 @@ from .leximin import (
     UTILITY,
     UTILITY_GOODS,
     UTILITY_GOODS_CHORES,
-    AgentOrdering,
     ObjectiveSpec,
-    agent_ordering,
     is_leximin_optimal,
     leximin_solve,
     objective,

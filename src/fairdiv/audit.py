@@ -1,4 +1,4 @@
-"""Exact fairness checks, the envy graph, and envy-cycle elimination.
+"""Exact fairness checks with witnesses that can be re-verified.
 
 Every check returns a :class:`CheckResult` whose witness, when the check
 fails, is concrete enough to re-verify the violation directly. Witnesses
@@ -186,13 +186,6 @@ def _envious_pairs(inst: Instance, masks):
                 other = scaled_value(inst, i, masks[j])
                 if own < other:
                     yield i, j, own, other
-
-
-def envies(inst: Instance, alloc: Allocation, i: int, j: int) -> bool:
-    """True iff agent i strictly prefers agent j's bundle to her own."""
-    require_allocation(inst, alloc)
-    bundles = alloc.bundles()
-    return scaled_value(inst, i, bundles[i]) < scaled_value(inst, i, bundles[j])
 
 
 def check_EF(inst: Instance, alloc: Allocation) -> CheckResult:
@@ -417,74 +410,3 @@ def audit(
             )
         results.append((notion, res))
     return FairnessReport(tuple(results))
-
-
-@dataclass(frozen=True)
-class EnvyGraph:
-    """Directed envy relation of an allocation: edge (u, w) means agent u
-    strictly prefers agent w's bundle. Edges are sorted by (source,
-    target)."""
-
-    agents: int
-    edges: tuple[tuple[int, int], ...]
-
-    def out_neighbours(self, agent: int) -> tuple[int, ...]:
-        return tuple(w for u, w in self.edges if u == agent)
-
-
-def build_envy_graph(inst: Instance, alloc: Allocation) -> EnvyGraph:
-    require_allocation(inst, alloc)
-    pairs = _envious_pairs(inst, alloc.bundles())
-    return EnvyGraph(inst.agents, tuple((i, j) for i, j, _own, _other in pairs))
-
-
-def _first_cycle(n: int, adjacency: list[list[int]]) -> list[int] | None:
-    """First cycle met by a depth-first walk that starts from the lowest
-    agent index and explores outgoing edges in ascending target order.
-    Returns the cycle as an agent list, or None if the graph is acyclic."""
-    color = [0] * n  # 0 unvisited, 1 on the current path, 2 done
-    for start in range(n):
-        if color[start] or not adjacency[start]:
-            continue
-        color[start] = 1
-        path = [start]
-        stack = [(start, iter(adjacency[start]))]
-        while stack:
-            _node, edge_iter = stack[-1]
-            descended = False
-            for target in edge_iter:
-                if color[target] == 1:
-                    return path[path.index(target):]
-                if color[target] == 0:
-                    color[target] = 1
-                    path.append(target)
-                    stack.append((target, iter(adjacency[target])))
-                    descended = True
-                    break
-            if not descended:
-                color[path.pop()] = 2
-                stack.pop()
-    return None
-
-
-def eliminate_envy_cycles(inst: Instance, alloc: Allocation) -> Allocation:
-    """Rotate bundles along envy cycles until the envy graph is acyclic.
-
-    Each rotation hands every agent on the cycle the bundle she envies,
-    strictly raising her value and leaving everyone else untouched, so
-    the total utility strictly increases and the loop terminates. The
-    result's envy graph is acyclic, hence some agent envies nobody.
-    """
-    require_allocation(inst, alloc)
-    masks = list(alloc.bundles())
-    while True:
-        adjacency = [[] for _ in range(inst.agents)]
-        for i, j, _own, _other in _envious_pairs(inst, masks):
-            adjacency[i].append(j)
-        cycle = _first_cycle(inst.agents, adjacency)
-        if cycle is None:
-            return Allocation.from_bundles(inst.agents, masks, inst.m)
-        previous = list(masks)
-        k = len(cycle)
-        for idx, agent in enumerate(cycle):
-            masks[agent] = previous[cycle[(idx + 1) % k]]

@@ -47,7 +47,6 @@ class FixtureReport:
     method: str
     result: SolveResult
     failure_notion: str
-    failure_witness: object
     document: dict
 
     def as_dict(self) -> dict:
@@ -174,4 +173,4 @@ def run_fixture(name: str, max_space: int | None = None) -> FixtureReport:
     ]
     if diffs:
         raise FixtureMismatch(name, "\n".join(diffs))
-    return FixtureReport(name, spec.method, result, spec.failure_notion, witness, actual)
+    return FixtureReport(name, spec.method, result, spec.failure_notion, actual)

@@ -39,11 +39,6 @@ from .model import (
     value,
 )
 
-#: Permutation of agents sorting their objective tuples in nondecreasing
-#: order, ties broken by ascending agent index.
-AgentOrdering = tuple[int, ...]
-
-
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """A named family of per-agent objective tuples.
@@ -106,21 +101,12 @@ def objective(inst: Instance, spec: ObjectiveSpec, agent: int, bundle: Bundle) -
     return (value(inst, agent, bundle), *_counts(inst, spec)(agent, bundle))
 
 
-def _objective_tuples(inst: Instance, spec: ObjectiveSpec, alloc: Allocation) -> list:
-    """Each agent's objective tuple for her own bundle, in agent order."""
-    require_allocation(inst, alloc)
-    return [objective(inst, spec, i, mask) for i, mask in enumerate(alloc.bundles())]
-
-
-def agent_ordering(inst: Instance, spec: ObjectiveSpec, alloc: Allocation) -> AgentOrdering:
-    """Agents sorted by increasing objective tuple, ties by agent index."""
-    tuples = _objective_tuples(inst, spec, alloc)
-    return tuple(sorted(range(inst.agents), key=lambda i: (tuples[i], i)))
-
-
 def sorted_objectives(inst: Instance, spec: ObjectiveSpec, alloc: Allocation) -> tuple:
-    """The allocation's objective tuples in the agent ordering."""
-    return tuple(sorted(_objective_tuples(inst, spec, alloc)))
+    """The agents' objective tuples for their own bundles, in increasing
+    order."""
+    require_allocation(inst, alloc)
+    bundles = alloc.bundles()
+    return tuple(sorted(objective(inst, spec, i, mask) for i, mask in enumerate(bundles)))
 
 
 def precedes(inst: Instance, spec: ObjectiveSpec, a: Allocation, b: Allocation) -> bool:

@@ -365,10 +365,6 @@ class Instance:
                 )
 
     @property
-    def n(self) -> int:
-        return self.agents
-
-    @property
     def m(self) -> int:
         return len(self.items)
 

@@ -9,17 +9,13 @@ from fairdiv import (
     UTILITY,
     Allocation,
     InvalidAllocation,
-    agent_ordering,
     audit,
-    build_envy_graph,
     check_EF,
     check_EF1,
     check_EFX,
     check_PO,
     check_PROP,
     check_PROP1,
-    eliminate_envy_cycles,
-    envies,
     is_leximin_optimal,
     modified_nash_welfare,
     nash_prime_factors,
@@ -38,12 +34,8 @@ ENTRY_POINTS = {
     "check_PROP": check_PROP,
     "check_PROP1": check_PROP1,
     "check_PO": check_PO,
-    "envies": lambda inst, alloc: envies(inst, alloc, 0, 1),
-    "build_envy_graph": build_envy_graph,
-    "eliminate_envy_cycles": eliminate_envy_cycles,
     "precedes-first": lambda inst, alloc: precedes(inst, UTILITY, alloc, FITS),
     "precedes-second": lambda inst, alloc: precedes(inst, UTILITY, FITS, alloc),
-    "agent_ordering": lambda inst, alloc: agent_ordering(inst, UTILITY, alloc),
     "sorted_objectives": lambda inst, alloc: sorted_objectives(inst, UTILITY, alloc),
     "is_leximin_optimal": lambda inst, alloc: is_leximin_optimal(inst, UTILITY, alloc),
     "nash_prime_factors": nash_prime_factors,

@@ -1,4 +1,4 @@
-"""Fairness checks, witnesses, the envy graph and cycle elimination."""
+"""Fairness checks and their witnesses."""
 
 import random
 from dataclasses import fields
@@ -24,7 +24,6 @@ from fairdiv import (
     SearchSpaceTooLarge,
     Verdict,
     audit,
-    build_envy_graph,
     check_EF,
     check_EF1,
     check_EFX,
@@ -32,8 +31,6 @@ from fairdiv import (
     check_PROP,
     check_PROP1,
     classify_items,
-    eliminate_envy_cycles,
-    envies,
     fixture_instance,
     Instance,
     validate_instance,
@@ -51,15 +48,7 @@ def random_instance(rng, n, m, lo=-9, hi=9):
     return additive([[rng.randint(lo, hi) or 1 for _ in range(m)] for _ in range(n)])
 
 
-# ----------------------------------------------------------------- envy
-
-def test_envies():
-    assert envies(TABLE1, CIRCLED1, 0, 1)
-    assert not envies(TABLE1, CIRCLED1, 1, 0)
-    assert envies(MNW2, CIRCLED2, 0, 1)  # -8 < -3
-    even = additive([(-1, -1), (-1, -1)])
-    assert not envies(even, Allocation(2, (0, 1)), 0, 1)
-
+# ------------------------------------------------------------------- EF
 
 def test_check_EF():
     res = check_EF(TABLE1, CIRCLED1)
@@ -409,74 +398,6 @@ def test_general_witnesses_carry_the_exact_bundle_values(case):
             assert witness.adjusted == targets[witness.item]
 
 
-# ------------------------------------------------------------ envy graph
-
-def test_envy_graph_of_table1():
-    graph = build_envy_graph(TABLE1, CIRCLED1)
-    assert graph.edges == ((0, 1), (0, 2), (0, 3), (0, 4))
-    assert graph.out_neighbours(0) == (1, 2, 3, 4)
-    assert graph.out_neighbours(2) == ()
-
-
-def test_envy_graph_empty_for_EF():
-    inst = additive([(-1, -1), (-1, -1)])
-    assert build_envy_graph(inst, Allocation(2, (0, 1))).edges == ()
-
-
-def test_eliminate_two_cycle():
-    inst = additive([(-10, -1), (-1, -10)])
-    before = Allocation(2, (0, 1))
-    assert build_envy_graph(inst, before).edges == ((0, 1), (1, 0))
-    after = eliminate_envy_cycles(inst, before)
-    assert after.assignment == (1, 0)
-    assert build_envy_graph(inst, after).edges == ()
-
-
-def test_eliminate_rotates_toward_the_envied_bundle():
-    # each agent on a cycle takes the bundle it envies; taking the bundle
-    # of whoever envies it instead ends at (2, 0, 1)
-    inst = additive([(2, 2, 3), (2, 1, 4), (0, 3, 0)])
-    after = eliminate_envy_cycles(inst, Allocation(3, (0, 1, 2)))
-    assert after.assignment == (1, 2, 0)
-
-
-def test_eliminate_leaves_acyclic_input_alone():
-    assert eliminate_envy_cycles(TABLE1, CIRCLED1).assignment == CIRCLED1.assignment
-
-
-def test_eliminate_postconditions_on_random_instances():
-    rng = random.Random(4242)
-    for _ in range(30):
-        inst = random_instance(rng, rng.randint(2, 4), rng.randint(1, 5))
-        alloc = Allocation(
-            inst.agents, tuple(rng.randrange(inst.agents) for _ in range(inst.m))
-        )
-        out = eliminate_envy_cycles(inst, alloc)
-        # every agent ends weakly better off than she started
-        for i in range(inst.agents):
-            assert value(inst, i, out.bundle(i)) >= value(inst, i, alloc.bundle(i))
-        # acyclic envy graph, hence someone envies nobody
-        graph = build_envy_graph(inst, out)
-        sources = {u for u, _ in graph.edges}
-        assert any(i not in sources for i in range(inst.agents))
-        adjacency = {u: graph.out_neighbours(u) for u in range(inst.agents)}
-        seen: set[int] = set()
-        stack: list[int] = []
-
-        def acyclic(node):
-            if node in stack:
-                return False
-            if node in seen:
-                return True
-            seen.add(node)
-            stack.append(node)
-            ok = all(acyclic(w) for w in adjacency[node])
-            stack.pop()
-            return ok
-
-        assert all(acyclic(u) for u in range(inst.agents))
-
-
 # ------------------------------------------------------------ rendering
 
 def test_witness_rendering():
@@ -627,21 +548,6 @@ def test_permuting_items_keeps_every_verdict(case, data):
         return [res.verdict for _, res in audit(inst, alloc).results]
 
     assert verdicts(additive(rows), permuted) == verdicts(inst, alloc)
-
-
-@given(audited())
-def test_envy_graph_is_the_envy_relation(case):
-    inst, alloc = case
-    edges = build_envy_graph(inst, alloc).edges
-    n = inst.agents
-    assert edges == tuple(
-        (i, j) for i in range(n) for j in range(n) if i != j and envies(inst, alloc, i, j)
-    )
-    res = check_EF(inst, alloc)
-    if edges:
-        assert (res.witness.i, res.witness.j) == edges[0]
-    else:
-        assert res.holds
 
 
 # ------------------------------------------------------- Fraction oracle

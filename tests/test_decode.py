@@ -68,7 +68,7 @@ OTHER = st.one_of(
 
 @settings(max_examples=300)
 @given(st.lists(WRITTEN, min_size=1, max_size=20), st.integers(1, 7))
-def test_written_spellings_decode_without_parse_pair(entries, chunk):
+def test_written_spellings_parse_each_spelling_once_per_chunk(entries, chunk):
     expected = per_entry(entries)
     with mock.patch.object(model, "_DECODE_CHUNK", chunk), counted_parse_pair() as parse:
         assert decode_values(entries) == expected
@@ -165,7 +165,7 @@ def test_empty_table_and_m_zero():
     ],
     ids=["general-identical", "general-identical-nonzero-marginal", "all-distinct"],
 )
-def test_generated_16_item_tables_load_without_parse_pair(config):
+def test_16_item_tables_parse_each_spelling_once_per_chunk(config):
     inst = generate(config)
     valuation = inst.valuation
     table = format_table(valuation.scaled, valuation.scale)
@@ -176,34 +176,6 @@ def test_generated_16_item_tables_load_without_parse_pair(config):
     assert parse.call_count == distinct_per_chunk(table)
 
 
-def test_a_long_entry_is_not_padded_into_a_matrix():
-    entries = ["1"] * 2000 + ["1" * 4000]
-    expected = per_entry(entries)
-    tracemalloc.start()
-    try:
-        assert decode_values(entries) == expected
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
-
-
-def test_decode_peak_memory_is_at_most_the_per_entry_path():
-    inst = generate(GeneratorConfig(2, 16, "general-identical-nonzero-marginal", 4))
-    entries = instance_to_dict(inst)["valuation"]["table"]
-    del inst
-    peaks = []
-    for decode in (decode_values, per_entry):
-        tracemalloc.start()
-        try:
-            decoded = decode(entries)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        del decoded
-    assert peaks[0] <= peaks[1]
-
-
 def traced_peak(fn, *args):
     """The most memory ``fn(*args)`` held at once, as tracemalloc sees it."""
     tracemalloc.start()
@@ -212,6 +184,19 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_a_long_entry_decodes_in_bounded_memory():
+    entries = ["1"] * 2000 + ["1" * 4000]
+    assert decode_values(entries) == per_entry(entries)
+    assert traced_peak(decode_values, entries) < 1_000_000
+
+
+def test_decode_peaks_no_higher_than_parsing_every_entry():
+    inst = generate(GeneratorConfig(2, 16, "general-identical-nonzero-marginal", 4))
+    entries = instance_to_dict(inst)["valuation"]["table"]
+    del inst
+    assert traced_peak(decode_values, entries) <= traced_peak(per_entry, entries)
 
 
 #: A 16-item general table: 65,536 entries of a few hundred distinct values.

@@ -17,7 +17,6 @@ from fairdiv import (
     GeneratorConfig,
     ObjectiveSpec,
     SearchSpaceTooLarge,
-    agent_ordering,
     fixture_instance,
     generate,
     is_leximin_optimal,
@@ -77,10 +76,9 @@ def test_spec_names():
     assert SPEC_NAMES["leximin-gc"] is UTILITY_GOODS_CHORES
 
 
-# --------------------------------------------------- orderings and precedes
+# ----------------------------------------- sorted objectives and precedes
 
-def test_agent_ordering_and_sorted_objectives():
-    assert agent_ordering(TABLE1, UTILITY, CIRCLED1) == (0, 1, 2, 3, 4)
+def test_sorted_objectives():
     assert sorted_objectives(TABLE1, UTILITY, CIRCLED1) == (
         (Fraction(-18),),
         (Fraction("-0.1"),),
@@ -88,12 +86,6 @@ def test_agent_ordering_and_sorted_objectives():
         (Fraction("-0.1"),),
         (Fraction("-0.1"),),
     )
-
-
-def test_agent_ordering_breaks_ties_by_index():
-    inst = additive([(-1, -2), (-2, -1)])
-    assert agent_ordering(inst, UTILITY, Allocation(2, (0, 1))) == (0, 1)
-    assert agent_ordering(inst, UTILITY, Allocation(2, (1, 0))) == (0, 1)
 
 
 def test_precedes_strictly_orders_worse_allocations():

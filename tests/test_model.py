@@ -340,7 +340,7 @@ def test_allocation_requires_a_tuple_assignment(assignment):
 
 def test_instance_bundle_helpers():
     inst = additive([(-1, -2, -3)])
-    assert inst.n == 1 and inst.m == 3 and inst.full_mask == 0b111
+    assert inst.agents == 1 and inst.m == 3 and inst.full_mask == 0b111
     assert inst.bundle_of("ac") == 0b101
     assert inst.bundle_names(0b101) == ("a", "c")
     with pytest.raises(InvalidAllocation):

@@ -1,7 +1,7 @@
 """Modified Nash welfare and the Pareto-constrained disutility product."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -144,11 +144,22 @@ def _relabelled(inst, agents, items):
     )
 
 
+def _scaled(inst, scales):
+    """Agent i's row of ``inst`` multiplied by ``scales[i]``."""
+    rows = zip(scales, inst.valuation.matrix)
+    return Instance(
+        agents=inst.agents,
+        items=inst.items,
+        valuation=AdditiveValuation.of(tuple(tuple(c * v for v in row) for c, row in rows)),
+    )
+
+
 @pytest.mark.parametrize("solve", [constrained_mnw_solve, mnw_prime_solve])
-def test_nash_solvers_commute_with_relabelling(solve):
+def test_nash_solvers_commute_with_relabelling_and_scaling(solve):
     # 5 x 8 chores: the last Pareto filter of the first instance gets 10,570
     # candidates, 166 blocks; the second has 23 tied constrained optima
     agents, items = (3, 0, 4, 1, 2), (5, 2, 7, 0, 6, 1, 3, 4)
+    scales = (Fraction(3), Fraction(1, 2), Fraction(7, 3), Fraction(1), Fraction(5, 4))
     for config in (
         GeneratorConfig(5, 8, "additive-chores", 1),
         GeneratorConfig(5, 8, "additive-chores", 1, low=-3, high=-1, denominator=1),
@@ -165,6 +176,17 @@ def test_nash_solvers_commute_with_relabelling(solve):
             assert by_agents.objective_vector == tuple(factors[i] for i in agents)
             # the same agents, so the same factors, not just their multiset
             assert by_items.objective_vector == factors
+        # each factor is a value of its own agent's row, so it scales with
+        # that row, and the product with the rows of its nonzero factors
+        by_scales = solve(_scaled(inst, scales))
+        assert by_scales.allocation == base.allocation
+        assert by_scales.tie_count == base.tie_count
+        factors = base.objective_vector
+        assert by_scales.objective_vector == tuple(c * f for c, f in zip(scales, factors))
+        nonzero = [c for c, f in zip(scales, factors) if f != 0]
+        assert by_scales.score == WelfareScore(
+            base.score.nonzero_count, base.score.product * prod(nonzero)
+        )
 
 
 def _brute_front_mask(vectors):
