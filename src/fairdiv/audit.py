@@ -11,8 +11,10 @@ chores of agent i from :func:`fairdiv.model.classify_items`:
 * i envies j iff v_i(A_i) < v_i(A_j).
 * EFX: every envious pair (i, j) must satisfy v_i(A_i) >= v_i(A_j - {g})
   for all goods g in A_j owned by j, and v_i(A_i) >= v_i(A_j + {c}) for
-  all chores c in A_i. An envious pair with no goods in A_j and no chores
-  in A_i fails outright.
+  all chores c in A_i. Every envious pair admits one such adjustment:
+  each item is a good or a chore for i, and classify_items makes every
+  marginal keep its sign, so were there none, v_i(A_i) >= v_i({}) >=
+  v_i(A_j).
 * EF1 is the existential weakening: one such adjustment must succeed.
 * PROP: v_i(A_i) >= v_i(M) / n for every agent.
 * PROP1: the PROP bound must hold after adding some unowned item (any
@@ -25,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -50,7 +51,6 @@ from .serialize import allocation_to_dict
 
 GOOD_REMOVAL = "good-removal"
 CHORE_COPY = "chore-copy"
-NO_ADJUSTMENT = "no-adjustment"
 
 
 class Verdict(Enum):
@@ -72,7 +72,7 @@ class _Witness:
                 entry = format_value(entry)
             elif isinstance(entry, Allocation):
                 entry = allocation_to_dict(inst, entry)["bundles"]
-            elif field.name == "item" and entry is not None:
+            elif field.name == "item":
                 entry = inst.items[entry]
             out[field.name] = entry
         return out
@@ -94,14 +94,12 @@ class EfxWitness(_Witness):
 
     ``side`` tells which adjustment failed: removing the good ``item``
     from j's bundle, or copying the chore ``item`` from i's bundle onto
-    j's. ``adjusted`` is the value of j's adjusted bundle to i. An envious
-    pair with no adjustment available carries item None and side
-    "no-adjustment".
+    j's. ``adjusted`` is the value of j's adjusted bundle to i.
     """
 
     i: int
     j: int
-    item: Optional[int]
+    item: int
     side: str
     own: Fraction
     adjusted: Fraction
@@ -112,14 +110,14 @@ class Ef1Witness(_Witness):
     """No single-item adjustment frees agent i of envy toward j.
 
     ``best_target`` is the most favourable adjusted value of j's bundle
-    over all allowed adjustments (None when the pair admits none).
+    over all allowed adjustments.
     """
 
     i: int
     j: int
     own: Fraction
     other: Fraction
-    best_target: Optional[Fraction]
+    best_target: Fraction
 
 
 @dataclass(frozen=True)
@@ -172,8 +170,8 @@ class CheckResult:
 
 
 def _exact(inst: Instance, *scaled):
-    """Scaled values as exact ``Fraction``s for a witness, None kept."""
-    return (None if a is None else Fraction(a, inst.valuation.scale) for a in scaled)
+    """Scaled values as exact ``Fraction``s for a witness."""
+    return (Fraction(a, inst.valuation.scale) for a in scaled)
 
 
 def _envious_pairs(inst: Instance, masks):
@@ -196,21 +194,27 @@ def check_EF(inst: Instance, alloc: Allocation) -> CheckResult:
     return CheckResult(Verdict.HOLDS)
 
 
-def _adjusted_targets(inst, cls, bundles, i, j):
-    """Adjusted values of j's bundle for i, per single-item adjustment.
+def _adjusted_targets(inst: Instance, alloc: Allocation):
+    """Yield (i, j, v_i(A_i), v_i(A_j), targets), values scaled, for every
+    envious pair in ascending (i, j) order. ``targets`` yields (item, side,
+    scaled v_i of j's adjusted bundle) for removing each of j's goods and
+    copying each of i's chores onto j's bundle, in ascending item order."""
+    require_allocation(inst, alloc)
+    cls = classify_items(inst)
+    bundles = alloc.bundles()
 
-    Yields (item, side, scaled adjusted value) for removing each of j's
-    goods and for copying each of i's chores onto j's bundle, in ascending
-    item order.
-    """
-    removable = bundles[j] & cls.goods[i]
-    copyable = bundles[i] & cls.chores[i]
-    for item in range(inst.m):
-        bit = 1 << item
-        if removable & bit:
-            yield item, GOOD_REMOVAL, scaled_value(inst, i, bundles[j] & ~bit)
-        elif copyable & bit:
-            yield item, CHORE_COPY, scaled_value(inst, i, bundles[j] | bit)
+    def targets(i, j):
+        removable = bundles[j] & cls.goods[i]
+        copyable = bundles[i] & cls.chores[i]
+        for item in range(inst.m):
+            bit = 1 << item
+            if removable & bit:
+                yield item, GOOD_REMOVAL, scaled_value(inst, i, bundles[j] & ~bit)
+            elif copyable & bit:
+                yield item, CHORE_COPY, scaled_value(inst, i, bundles[j] | bit)
+
+    for i, j, own, other in _envious_pairs(inst, bundles):
+        yield i, j, own, other, targets(i, j)
 
 
 def check_EFX(inst: Instance, alloc: Allocation) -> CheckResult:
@@ -218,21 +222,13 @@ def check_EFX(inst: Instance, alloc: Allocation) -> CheckResult:
 
     Every envious pair must survive every allowed single-item adjustment:
     removing any good from the envied bundle, and copying any owned chore
-    onto it. An envious pair with no adjustment available fails.
+    onto it.
     """
-    require_allocation(inst, alloc)
-    cls = classify_items(inst)
-    bundles = alloc.bundles()
-    for i, j, own, other in _envious_pairs(inst, bundles):
-        vacuous = True
-        for item, side, adjusted in _adjusted_targets(inst, cls, bundles, i, j):
-            vacuous = False
+    for i, j, own, _, targets in _adjusted_targets(inst, alloc):
+        for item, side, adjusted in targets:
             if own < adjusted:
                 witness = EfxWitness(i, j, item, side, *_exact(inst, own, adjusted))
                 return CheckResult(Verdict.FAILS, witness)
-        if vacuous:
-            witness = EfxWitness(i, j, None, NO_ADJUSTMENT, *_exact(inst, own, other))
-            return CheckResult(Verdict.FAILS, witness)
     return CheckResult(Verdict.HOLDS)
 
 
@@ -240,15 +236,9 @@ def check_EF1(inst: Instance, alloc: Allocation) -> CheckResult:
     """Envy-freeness up to one item: for every envious pair some single
     adjustment (one good removed from the envied bundle, or one owned
     chore copied onto it) must cancel the envy."""
-    require_allocation(inst, alloc)
-    cls = classify_items(inst)
-    bundles = alloc.bundles()
-    for i, j, own, other in _envious_pairs(inst, bundles):
-        best = min(
-            (adjusted for _, _, adjusted in _adjusted_targets(inst, cls, bundles, i, j)),
-            default=None,
-        )
-        if best is None or own < best:
+    for i, j, own, other, targets in _adjusted_targets(inst, alloc):
+        best = min(adjusted for _, _, adjusted in targets)
+        if own < best:
             return CheckResult(Verdict.FAILS, Ef1Witness(i, j, *_exact(inst, own, other, best)))
     return CheckResult(Verdict.HOLDS)
 

@@ -14,6 +14,7 @@ import re
 import sys
 import weakref
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice
@@ -126,12 +127,20 @@ def _decimal_digits(den: int) -> tuple[int, int]:
     return max(twos, fives), den
 
 
+def _digits(n: int) -> str:
+    """``str(n)``, also for an integer past the interpreter's digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return format(Decimal(n), "f")
+
+
 def _decimal(shifted: int, digits: int) -> str:
     """The value ``shifted / 10^digits`` as a decimal, trailing zeros of
     the fraction (and a bare point) stripped."""
     if digits == 0:
-        return str(shifted)
-    body = str(abs(shifted)).rjust(digits + 1, "0")
+        return _digits(shifted)
+    body = _digits(abs(shifted)).rjust(digits + 1, "0")
     fraction = body[-digits:].rstrip("0")
     sign = "-" if shifted < 0 else ""
     if not fraction:
@@ -143,7 +152,7 @@ def _format_pair(num: int, den: int) -> str:
     """The one rendering rule, for a reduced num/den with den >= 1."""
     digits, rest = _decimal_digits(den)
     if rest != 1:
-        return f"{num}/{den}"
+        return f"{_digits(num)}/{_digits(den)}"
     return _decimal(num * (10**digits // den), digits)
 
 

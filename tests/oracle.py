@@ -36,7 +36,7 @@ from fairdiv import (
     PropWitness,
     Verdict,
 )
-from fairdiv.audit import CHORE_COPY, GOOD_REMOVAL, NO_ADJUSTMENT
+from fairdiv.audit import CHORE_COPY, GOOD_REMOVAL
 
 
 def general_table(valuation):
@@ -301,12 +301,9 @@ def check_EF(inst, alloc):
 
 def check_EFX(inst, alloc):
     tables, masks = exact_tables(inst), alloc.bundles()
-    for i, j, own, other in _envious(inst, tables, masks):
+    for i, j, own, _ in _envious(inst, tables, masks):
         adjustments = _adjustments(inst, tables, masks, i, j)
-        if not adjustments:
-            return CheckResult(
-                Verdict.FAILS, EfxWitness(i, j, None, NO_ADJUSTMENT, own, other)
-            )
+        assert adjustments
         for item, side, adjusted in adjustments:
             if own < adjusted:
                 return CheckResult(
@@ -319,9 +316,9 @@ def check_EF1(inst, alloc):
     tables, masks = exact_tables(inst), alloc.bundles()
     for i, j, own, other in _envious(inst, tables, masks):
         adjusted = [value for _, _, value in _adjustments(inst, tables, masks, i, j)]
+        assert adjusted
         if not any(own >= value for value in adjusted):
-            best = min(adjusted) if adjusted else None
-            return CheckResult(Verdict.FAILS, Ef1Witness(i, j, own, other, best))
+            return CheckResult(Verdict.FAILS, Ef1Witness(i, j, own, other, min(adjusted)))
     return CheckResult(Verdict.HOLDS)
 
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from conftest import additive, general
-from test_enumeration import additive_instances
+from test_enumeration import additive_instances, fractions
 from fairdiv import (
     AdditiveValuation,
     Allocation,
@@ -36,7 +36,7 @@ from fairdiv import (
     validate_instance,
     value,
 )
-from fairdiv.audit import _CHECKS, NO_ADJUSTMENT
+from fairdiv.audit import _CHECKS
 
 TABLE1 = fixture_instance("table1")
 CIRCLED1 = Allocation(5, (0, 0, 0, 1, 2, 3, 4))
@@ -391,11 +391,46 @@ def test_general_witnesses_carry_the_exact_bundle_values(case):
             assert (i, j) == envious[0] and witness.other == held[j]
         elif notion == "ef1":
             assert witness.other == held[j]
-            assert witness.best_target == min(targets.values(), default=None)
-        elif witness.item is None:
-            assert not targets and witness.adjusted == held[j]
+            assert witness.best_target == min(targets.values())
         else:
             assert witness.adjusted == targets[witness.item]
+
+
+@st.composite
+def monotone_instances(draw):
+    """Up to 3 agents and 4 items: additive rows with zero and fractional
+    entries, or a general table in which every item's marginal keeps one
+    sign, often zero, over a nonzero empty-bundle value.
+
+    The table is v(S) = v({}) + (floor(G / k) - floor(C / k)) / d, where
+    G and C sum the positive weights and the negated negative weights of
+    the items in S; an item of weight 0 has only zero marginals.
+    """
+    n, m = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        row = st.lists(fractions(-3, 3), min_size=m, max_size=m)
+        return additive(draw(st.lists(row, min_size=n, max_size=n)) if m else [()] * n)
+    weights = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+    k, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    empty = draw(st.sampled_from((-5, Fraction(-1, 2), 1, 5)))
+    table = []
+    for mask in range(1 << m):
+        held = [w for j, w in enumerate(weights) if mask >> j & 1]
+        goods, chores = sum(w for w in held if w > 0), sum(-w for w in held if w < 0)
+        table.append(empty + Fraction(goods // k - chores // k, d))
+    return general(n, table)
+
+
+@given(monotone_instances())
+def test_every_envious_pair_admits_an_adjustment(inst):
+    # Each item is a good or a chore for i with marginals of one sign, so
+    # if A_j held none of i's goods and A_i none of i's chores, then
+    # v_i(A_i) >= v_i({}) >= v_i(A_j) and i would not envy j.
+    tables = oracle.exact_tables(inst)
+    for assignment in oracle.assignments(inst.agents, inst.m):
+        masks = oracle.bundle_masks(assignment, inst.agents)
+        for i, j, _, _ in oracle._envious(inst, tables, masks):
+            assert oracle._adjustments(inst, tables, masks, i, j)
 
 
 # ------------------------------------------------------------ rendering
@@ -410,12 +445,9 @@ def test_witness_rendering():
     assert efx.as_dict(inst) == {
         "i": 0, "j": 1, "item": "c", "side": "good-removal", "own": "-1", "adjusted": "0.5",
     }
-    vacuous = EfxWitness(0, 1, None, NO_ADJUSTMENT, Fraction(-1), third)
-    assert vacuous.as_dict(inst)["item"] is None
-    assert Ef1Witness(1, 0, Fraction(-1), third, None).as_dict(inst) == {
-        "i": 1, "j": 0, "own": "-1", "other": "1/3", "best_target": None,
+    assert Ef1Witness(1, 0, Fraction(-1), third, third).as_dict(inst) == {
+        "i": 1, "j": 0, "own": "-1", "other": "1/3", "best_target": "1/3",
     }
-    assert Ef1Witness(1, 0, Fraction(-1), third, third).as_dict(inst)["best_target"] == "1/3"
     assert PropWitness(2, Fraction(-3), third).as_dict(inst) == {
         "agent": 2, "value": "-3", "threshold": "1/3",
     }
@@ -509,10 +541,7 @@ def _reverify(inst, alloc, notion, witness, old):
         assert witness.other == other
     elif notion == "ef1":
         assert witness.other == other
-        assert witness.best_target == min(targets.values(), default=None)
-        assert witness.best_target is None or own < witness.best_target
-    elif witness.item is None:
-        assert not targets and witness.adjusted == other
+        assert own < witness.best_target == min(targets.values())
     else:
         assert own < witness.adjusted == targets[witness.item]
 

@@ -73,6 +73,17 @@ def test_gen_solve_audit_round_trip(tmp_path):
     assert all(r["holds"] for r in rows)
 
 
+def test_solve_prints_a_value_past_the_digit_limit(tmp_path):
+    # 10^4300 has 4,301 digits, one past the default limit of str(int)
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"agents": 1, "items": ["a"], "valuation": {"type": "additive", "matrix": [["1e4300"]]}}'
+    )
+    res = runner.invoke(main, ["solve", "--method", "leximin", "--instance", str(path)])
+    assert res.exit_code == 0
+    assert json.loads(res.stdout)["objective_vector"] == [["1" + "0" * 4300]]
+
+
 def test_gen_is_deterministic_and_prints_json():
     a = runner.invoke(main, GEN_ARGS)
     b = runner.invoke(main, GEN_ARGS)
@@ -278,9 +289,11 @@ def test_search_exit_zero_when_clean():
         ["gen", "--rescale", "0"],
         ["search", "--rescale", "0", "--method", "leximin", "--trials", "1"],
         ["search", "--method", "leximin", "--trials", "-3"],
+        ["gen", "--weight-max", "0"],
+        ["gen", "--perturb-max", "-1"],
     ],
 )
-def test_zero_rescale_and_negative_trials_exit_two(args):
+def test_out_of_range_generator_and_trial_options_exit_two(args):
     command, *options = args
     generator = ["--family", "additive-chores", "--agents", "2", "--items", "2", "--seed", "1"]
     res = runner.invoke(main, [command, *generator, *options])

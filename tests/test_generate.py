@@ -151,6 +151,10 @@ def test_config_validation():
         cfg(items=-1)
     with pytest.raises(ValueError):
         cfg(denominator=0)
+    with pytest.raises(ValueError, match="weight_max must be positive"):
+        cfg(weight_max=0)
+    with pytest.raises(ValueError, match="perturb_max cannot be negative"):
+        cfg(perturb_max=-1)
     # a chores grid needs at least one value below zero
     with pytest.raises(ValueError):
         generate(cfg(low=Fraction(1), high=Fraction(10)))

@@ -59,7 +59,8 @@ DOCUMENTS = {
 #: Input allocations: file name -> (instance file, assignment). Between
 #: them the audits below fail every notion with every witness shape the
 #: command line can print (an envious pair with no adjustment at all
-#: cannot arise on a valid instance).
+#: cannot arise on a valid instance, as
+#: ``test_audit.py::test_every_envious_pair_admits_an_adjustment`` checks).
 ALLOCATIONS = {
     "mixed-00000.json": ("mixed.json", (0, 0, 0, 0, 0)),
     "mixed-00001.json": ("mixed.json", (0, 0, 0, 0, 1)),

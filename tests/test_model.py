@@ -168,6 +168,15 @@ def test_format_value_ratio_otherwise():
     assert format_value(Fraction(-22, 7)) == "-22/7"
 
 
+def test_format_value_past_the_digit_limit():
+    zeros = "0" * 4300  # 10^4300 has one digit more than str() prints by default
+    big = 10 ** len(zeros)
+    assert format_value(Fraction(-big)) == f"-1{zeros}"
+    assert format_value(Fraction(1, big)) == f"0.{zeros[1:]}1"
+    assert format_value(Fraction(big + 1, 3)) == f"1{zeros[1:]}1/3"
+    assert format_value(Fraction(-1, 3 * big)) == f"-1/3{zeros}"
+
+
 @given(
     num=st.integers(min_value=-10**6, max_value=10**6),
     den=st.integers(min_value=1, max_value=10**4),

@@ -36,6 +36,18 @@ def test_additive_instance_round_trip():
     assert instance_to_json(again) == text
 
 
+def test_a_value_past_the_digit_limit_round_trips_byte_exact():
+    # the scale 10^4300 makes the scaled -1 a 4,301-digit integer
+    matrix = [["1e-4300", "-1"], ["-2", "3"]]
+    inst = instance_from_json(dumps({"agents": 2, "items": ["a", "b"], "valuation": {
+        "type": "additive", "matrix": matrix}}))
+    text = instance_to_json(inst)
+    assert json.loads(text)["valuation"]["matrix"][0] == ["0." + "0" * 4299 + "1", "-1"]
+    again = instance_from_json(text)
+    assert again == inst
+    assert instance_to_json(again) == text
+
+
 def test_values_travel_as_exact_strings():
     doc = instance_to_dict(fixture_instance("table1"))
     assert doc["valuation"]["type"] == "additive"
