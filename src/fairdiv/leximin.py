@@ -17,7 +17,6 @@ Built-in specs, with v the agent's value, G/C her goods and chores:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -148,7 +147,9 @@ def _objective_rows(inst: Instance, spec: ObjectiveSpec):
 
     extra = [[packed(i, 1 << j) for j in range(inst.m)] for i in range(inst.agents)]
     matrix = contribution_matrix(inst, base ** len(counts(0, 0)), extra)
-    return allocation_chunks(*matrix), partial(objective, inst, spec)
+    return allocation_chunks(*matrix), lambda agent, bundle: (
+        value(inst, agent, bundle), *counts(agent, bundle)
+    )
 
 
 def _rank_rows(inst: Instance, spec: ObjectiveSpec):

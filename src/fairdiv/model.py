@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import re
 import sys
-import weakref
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, islice
 from math import gcd, lcm
 from typing import Union
@@ -530,8 +528,7 @@ def validate_instance(inst: Instance) -> Instance:
     Additive instances are valid by construction. A general valuation must
     give the empty bundle value 0, or :class:`NonzeroEmptySet` is raised,
     and be item-wise monotone: :func:`classify_items`, run here, raises
-    :class:`MixedMonotonicity` otherwise, and its cache hands the split on
-    to a solver or audit of the same instance.
+    :class:`MixedMonotonicity` otherwise.
     """
     if isinstance(inst.valuation, AdditiveValuation):
         return inst
@@ -556,19 +553,7 @@ def classify_items(inst: Instance) -> ItemClassification:
     (-1, 2, 2^j): every subset without j (slot 0) sits next to the same
     subset with j (slot 1), both in ascending order. Comparing instead of
     subtracting keeps int64 entries from overflowing.
-
-    Only the last instance's split is cached, since every command and
-    search trial works on one at a time, and the cache holds the instance
-    by weak reference, so it never keeps a finished instance alive. The
-    reference also keeps the instance's hash, so a hit on the same
-    instance does not hash its valuation again.
     """
-    return _classify_items(weakref.ref(inst))
-
-
-@lru_cache(maxsize=1)
-def _classify_items(ref: weakref.ref) -> ItemClassification:
-    inst = ref()
     if isinstance(inst.valuation, AdditiveValuation):
         goods = []
         for row in inst.valuation.scaled:
@@ -593,10 +578,6 @@ def _classify_items(ref: weakref.ref) -> ItemClassification:
     return ItemClassification(
         goods=tuple(goods), chores=tuple(full & ~g for g in goods)
     )
-
-
-# The one cache's hits and misses, as lru_cache counts them.
-classify_items.cache_info = _classify_items.cache_info
 
 
 def scaled_value(inst: Instance, agent: int, bundle: Bundle) -> int:

@@ -291,6 +291,9 @@ def test_search_exit_zero_when_clean():
         ["search", "--method", "leximin", "--trials", "-3"],
         ["gen", "--weight-max", "0"],
         ["gen", "--perturb-max", "-1"],
+        # a repeated option takes its last value
+        ["gen", "--seed", "-1"],
+        ["search", "--method", "leximin", "--trials", "-1"],
     ],
 )
 def test_out_of_range_generator_and_trial_options_exit_two(args):
@@ -413,26 +416,68 @@ def test_malformed_bundles_exit_two(tmp_path, bundles):
 
 
 @pytest.mark.parametrize(
-    "document",
+    "document, message",
     [
-        {"agents": 1, "items": ["a"], "valuation": {"type": "additive"}},
-        {"agents": 1, "items": ["a"], "valuation": {"type": "general-identical"}},
-        {"agents": 1, "items": ["a"], "valuation": {"type": "general-identical", "table": None}},
-        {"agents": 1, "items": "ab", "valuation": {"type": "additive", "matrix": [["1", "2"]]}},
-        *(
+        (
+            {"agents": 1, "items": ["a"], "valuation": {"type": "additive"}},
+            "additive valuation needs a list 'matrix', got NoneType",
+        ),
+        (
+            {"agents": 1, "items": ["a"], "valuation": {"type": "general-identical"}},
+            "general-identical valuation needs a list 'table', got NoneType",
+        ),
+        (
             {
                 "agents": 1,
                 "items": ["a"],
-                "valuation": {"type": "general-identical", "table": table},
-            }
-            for table in (["0", "1/0"], ["0", 0.5], ["0", True], ["0", "1 /2"])
+                "valuation": {"type": "general-identical", "table": None},
+            },
+            "general-identical valuation needs a list 'table', got NoneType",
         ),
-        {"agents": 1, "items": ["a"], "valuation": {"type": "additive", "matrix": [["1__0"]]}},
-        {
-            "agents": 1,
-            "items": ["a"],
-            "valuation": {"type": "additive", "matrix": [["1e999999999"]]},
-        },
+        (
+            {"agents": 1, "items": "ab", "valuation": {"type": "additive", "matrix": [["1", "2"]]}},
+            "items must be a list, got str",
+        ),
+        *(
+            (
+                {
+                    "agents": 1,
+                    "items": ["a"],
+                    "valuation": {"type": "general-identical", "table": table},
+                },
+                f"malformed value entry: {message}",
+            )
+            for table, message in (
+                (["0", "1/0"], "not a value: '1/0'"),
+                (["0", 0.5], "refusing to parse a float; pass a string for exactness"),
+                (["0", True], "not a value: True"),
+                (["0", "1 /2"], "not a value: '1 /2'"),
+            )
+        ),
+        (
+            {"agents": 1, "items": ["a"], "valuation": {"type": "additive", "matrix": [["1__0"]]}},
+            "malformed value entry: not a value: '1__0'",
+        ),
+        (
+            {
+                "agents": 1,
+                "items": ["a"],
+                "valuation": {"type": "additive", "matrix": [["1e999999999"]]},
+            },
+            "malformed value entry: exponent of '1e999999999' exceeds 4300",
+        ),
+        (
+            {"agents": 1, "items": ["a", "b"], "valuation": {"type": "additive", "matrix": ["12"]}},
+            "additive matrix rows must be lists",
+        ),
+        (
+            {
+                "agents": 0,
+                "items": ["a"],
+                "valuation": {"type": "general-identical", "table": ["0", "1"]},
+            },
+            "agents must be a positive integer, got 0",
+        ),
     ],
     ids=[
         "additive-without-matrix",
@@ -445,11 +490,14 @@ def test_malformed_bundles_exit_two(tmp_path, bundles):
         "space-before-slash",
         "double-underscore",
         "huge-exponent",
+        "row-as-string",
+        "zero-agents-general",
     ],
 )
-def test_malformed_instance_exits_two(tmp_path, document):
+def test_malformed_instance_exits_two(tmp_path, document, message):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(document))
     res = runner.invoke(main, ["solve", "--instance", str(path), "--method", "leximin"])
     assert res.exit_code == 2
-    assert "error:" in res.stderr
+    assert res.stdout == ""
+    assert res.stderr == f"error: {message}\n"

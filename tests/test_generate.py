@@ -160,6 +160,12 @@ def test_config_validation():
         generate(cfg(low=Fraction(1), high=Fraction(10)))
 
 
+@pytest.mark.parametrize("family, point", [("additive-mixed", 3), ("additive-chores", -1)])
+def test_a_one_point_range_draws_constant_rows(family, point):
+    inst = generate(cfg(family=family, low=Fraction(point), high=Fraction(point)))
+    assert inst.valuation.matrix == ((Fraction(point),) * 5,) * 3
+
+
 @pytest.mark.parametrize("field", ["low", "high", "rescale_total"])
 @pytest.mark.parametrize("bad", [-0.1, True, "-0.1.5"])
 def test_config_rejects_a_value_that_is_not_exact(field, bad):
@@ -184,7 +190,7 @@ def test_config_rejects_a_count_that_is_not_an_int(field, bad):
         cfg(**{field: bad})
 
 
-@pytest.mark.parametrize("bad", [None, "5", 1.5, True, -5], ids=repr)
+@pytest.mark.parametrize("bad", [None, "5", 1.5, True, -5, -1], ids=repr)
 def test_config_rejects_a_seed_that_is_not_a_nonnegative_int(bad):
     # random.Random(None) seeds from the operating system and
     # random.Random(-5) draws what random.Random(5) draws

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from conftest import additive, general
+from fairdiv import leximin
 from fairdiv import (
     SPEC_NAMES,
     UTILITY,
@@ -192,6 +193,21 @@ def test_custom_function_is_called_once_per_agent_and_bundle():
     assert calls == [(0, 0b111)]
     assert res.objective_vector == ((Fraction(2),),)
     assert res.tie_count == 1
+
+
+@pytest.mark.parametrize("method", ["leximin++", "leximin-gc"])
+def test_a_built_in_solve_classifies_the_items_once(method, monkeypatch):
+    calls, classify = [], leximin.classify_items
+
+    def counted(inst):
+        calls.append(inst)
+        return classify(inst)
+
+    monkeypatch.setattr(leximin, "classify_items", counted)
+    inst = general(3, (0, 2, -1, 1, 3, 5, 2, 4))
+    res = leximin_solve(inst, SPEC_NAMES[method])
+    assert len(calls) == 1
+    assert res.objective_vector == sorted_objectives(inst, SPEC_NAMES[method], res.allocation)
 
 
 def test_leximin_solve_guard():

@@ -28,6 +28,8 @@ def test_zero_trials_and_no_extras_find_nothing():
 def test_negative_trials_are_rejected():
     with pytest.raises(ValueError):
         search_counterexamples(chores_cfg(), "leximin", ("ef",), trials=-3)
+    with pytest.raises(ValueError, match="trials cannot be negative"):
+        search_counterexamples(chores_cfg(), "leximin", ("ef",), trials=-1)
 
 
 @pytest.mark.parametrize("trials", [2.5, "3", True])

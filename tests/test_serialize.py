@@ -107,6 +107,9 @@ def test_general_item_cap():
         lambda d: d["valuation"].update(type="general-identical", table=["0", [1], "0", "0"]),
         lambda d: d["valuation"].update(type="general-identical", table=["0", "1/0", "0", "0"]),
         lambda d: d["valuation"].update(type="general-identical", table=["0", "x", "0"]),
+        # a string row would otherwise be read one character per entry
+        lambda d: d["valuation"].update(matrix=["12"]),
+        lambda d: d.update(agents=0, valuation={"type": "general-identical", "table": ["0"] * 4}),
     ],
 )
 def test_malformed_instance_documents(mutate):
