@@ -353,6 +353,11 @@ class Instance:
     def __post_init__(self):
         if not _is_int(self.agents) or self.agents < 1:
             raise InvalidInstance(f"agents must be a positive integer, got {self.agents!r}")
+        if self.agents > sys.maxsize:
+            # No per-agent sequence can be longer.
+            raise InvalidInstance(
+                f"agents must be at most {sys.maxsize}, got {_digits(self.agents)}"
+            )
         if not isinstance(self.items, tuple) or not all(isinstance(x, str) for x in self.items):
             raise InvalidInstance("items must be a tuple of strings")
         if len(set(self.items)) != len(self.items):

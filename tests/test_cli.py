@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -478,6 +479,14 @@ def test_malformed_bundles_exit_two(tmp_path, bundles):
             },
             "agents must be a positive integer, got 0",
         ),
+        (
+            {
+                "agents": 2**64,
+                "items": [],
+                "valuation": {"type": "general-identical", "table": ["0"]},
+            },
+            f"agents must be at most {sys.maxsize}, got 18446744073709551616",
+        ),
     ],
     ids=[
         "additive-without-matrix",
@@ -492,6 +501,7 @@ def test_malformed_bundles_exit_two(tmp_path, bundles):
         "huge-exponent",
         "row-as-string",
         "zero-agents-general",
+        "agents-past-maxsize",
     ],
 )
 def test_malformed_instance_exits_two(tmp_path, document, message):

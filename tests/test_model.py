@@ -313,6 +313,22 @@ def test_instance_structural_checks():
         Instance(1, ("a", "b"), GeneralIdenticalValuation.of((Fraction(0), Fraction(1))))
 
 
+def test_an_agent_count_past_sys_maxsize_is_refused():
+    # No per-agent sequence can be longer, so classifying the goods of 2^64
+    # agents died with OverflowError before the count was refused.
+    table = GeneralIdenticalValuation.of((Fraction(0),))
+    for agents in (sys.maxsize + 1, 2**64):
+        with pytest.raises(InvalidInstance, match=f"at most {sys.maxsize}, got {agents}$"):
+            Instance(agents, (), table)
+    document = (
+        '{"agents": 18446744073709551616, "items": [],'
+        ' "valuation": {"type": "general-identical", "table": ["0"]}}'
+    )
+    with pytest.raises(InvalidInstance, match="at most"):
+        instance_from_json(document)
+    assert Instance(sys.maxsize, (), table).agents == sys.maxsize
+
+
 @pytest.mark.parametrize(
     "agents, items, rows",
     [

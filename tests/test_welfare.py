@@ -127,6 +127,29 @@ def test_constrained_solve_counts_past_int64():
     assert res.search_space == 2**67
 
 
+def test_constrained_solve_counts_exactly_two_to_the_63():
+    # n^m = 2^63 is one past int64, so the counts must be Python integers
+    inst = Instance(
+        agents=2,
+        items=tuple(f"c{j}" for j in range(63)),
+        valuation=AdditiveValuation.of(((0,) * 63,) * 2),
+    )
+    res = constrained_mnw_solve(inst, max_space=2**63)
+    assert res.tie_count == 2**63
+    assert res.allocation.assignment == (0,) * 63
+
+
+def test_mnw_prime_solve_product_of_exactly_two_to_the_63():
+    # each agent spares 2^21 when it takes the one chore it does not mind,
+    # a product of 2^63, one past int64
+    big = 2**20
+    inst = additive([(0, -big, -big), (-big, 0, -big), (-big, -big, 0)])
+    res = mnw_prime_solve(inst)
+    assert res.allocation.assignment == (0, 1, 2)
+    assert res.score == WelfareScore(3, Fraction(2**63))
+    assert res.tie_count == 1
+
+
 def test_constrained_solve_guard():
     inst = additive([[-1] * 10] * 3)
     with pytest.raises(SearchSpaceTooLarge):
