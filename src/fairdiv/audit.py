@@ -24,7 +24,6 @@ chores of agent i from :func:`fairdiv.model.classify_items`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 
@@ -42,6 +41,7 @@ from .model import (
     AdditiveValuation,
     Allocation,
     Instance,
+    _Record,
     classify_items,
     format_value,
     require_allocation,
@@ -59,26 +59,25 @@ class Verdict(Enum):
     NOT_APPLICABLE = "not-applicable"
 
 
-class _Witness:
-    """Renders a witness dataclass field by field, in field order: exact
+class _Witness(_Record):
+    """Renders a witness record field by field, in field order: exact
     values as strings, the field ``item`` by name, and an allocation as
     its bundles of item names."""
 
     def as_dict(self, inst: Instance) -> dict:
         out = {}
-        for field in fields(self):
-            entry = getattr(self, field.name)
+        for name in self._fields:
+            entry = getattr(self, name)
             if isinstance(entry, Fraction):
                 entry = format_value(entry)
             elif isinstance(entry, Allocation):
                 entry = allocation_to_dict(inst, entry)["bundles"]
-            elif field.name == "item":
+            elif name == "item":
                 entry = inst.items[entry]
-            out[field.name] = entry
+            out[name] = entry
         return out
 
 
-@dataclass(frozen=True)
 class EnvyWitness(_Witness):
     """Agent i strictly prefers agent j's bundle."""
 
@@ -88,7 +87,6 @@ class EnvyWitness(_Witness):
     other: Fraction
 
 
-@dataclass(frozen=True)
 class EfxWitness(_Witness):
     """A single-item adjustment that leaves agent i still envious.
 
@@ -105,7 +103,6 @@ class EfxWitness(_Witness):
     adjusted: Fraction
 
 
-@dataclass(frozen=True)
 class Ef1Witness(_Witness):
     """No single-item adjustment frees agent i of envy toward j.
 
@@ -120,7 +117,6 @@ class Ef1Witness(_Witness):
     best_target: Fraction
 
 
-@dataclass(frozen=True)
 class PropWitness(_Witness):
     """Agent's bundle value falls short of the proportional share."""
 
@@ -129,7 +125,6 @@ class PropWitness(_Witness):
     threshold: Fraction
 
 
-@dataclass(frozen=True)
 class Prop1Witness(_Witness):
     """Even the best single-item adjustment misses the proportional share.
 
@@ -143,7 +138,6 @@ class Prop1Witness(_Witness):
     threshold: Fraction
 
 
-@dataclass(frozen=True)
 class PoWitness(_Witness):
     """An allocation that weakly improves everyone and strictly improves
     at least one agent."""
@@ -151,7 +145,6 @@ class PoWitness(_Witness):
     improvement: Allocation
 
 
-@dataclass(frozen=True)
 class GuardWitness(_Witness):
     """A check was skipped because its search space exceeds the cap."""
 
@@ -159,8 +152,7 @@ class GuardWitness(_Witness):
     limit: int
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
     verdict: Verdict
     witness: object = None
 
@@ -339,8 +331,7 @@ def require_notions(notions) -> tuple[str, ...]:
     return notions
 
 
-@dataclass(frozen=True)
-class FairnessReport:
+class FairnessReport(_Record):
     """Verdicts for a set of notions on one allocation, in request order."""
 
     results: tuple[tuple[str, CheckResult], ...]

@@ -64,9 +64,11 @@ ROW_BUDGET = 1 << 13
 
 def require_max_space(max_space) -> None:
     """Raise ``ValueError`` unless ``max_space`` is None (the default cap)
-    or an int."""
+    or an int of at least 1: n^m >= 1, so a lower cap admits nothing."""
     if max_space is not None and not _is_int(max_space):
         raise ValueError(f"max_space must be None or an integer, got {max_space!r}")
+    if max_space is not None and max_space < 1:
+        raise ValueError(f"max_space must be at least 1, got {max_space}")
 
 
 def guard_search_space(n: int, m: int, max_space: int | None = None) -> int:

@@ -3,43 +3,45 @@
 Each fixture pins one solver to one chores instance and one expected
 document: what ``fairdiv solve`` prints for the solver's result, without
 the method, plus the ``witness`` with which that allocation fails the
-pinned fairness notion. :func:`run_fixture` renders the same document
-from a fresh solve and check and compares it key by key; any divergence
-raises :class:`FixtureMismatch` listing every key that differs, making
-these instances golden tests for the whole pipeline.
+pinned fairness notion. :data:`FIXTURES` keeps each instance as its item
+names and value strings; :func:`fixture_instance` parses them into an
+:class:`Instance` on each call, so importing the module parses nothing.
+:func:`run_fixture` renders the same document from a fresh solve and
+check and compares it key by key; any divergence raises
+:class:`FixtureMismatch` listing every key that differs, making these
+instances golden tests for the whole pipeline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .audit import check_EF1, check_PROP1
 from .errors import FixtureMismatch
 from .methods import solve_with_method
-from .model import AdditiveValuation, Instance, SolveResult
+from .model import AdditiveValuation, Instance, SolveResult, _Record
 from .serialize import result_to_dict
 
 _FAILURE_CHECKS = {"ef1": check_EF1, "prop1": check_PROP1}
 
 
-@dataclass(frozen=True)
-class FixtureSpec:
+class FixtureSpec(_Record):
+    """A fixture on an additive instance: its item names and one row of
+    exact values per agent, as :func:`~fairdiv.model.parse_pair` reads
+    them, the pinned solver and notion, and the pinned document."""
+
     name: str
-    instance: Instance
+    items: tuple[str, ...]
+    rows: tuple[tuple, ...]
     method: str
     failure_notion: str
     expected: dict
 
 
 def _spec(name: str, items: str, rows, method: str, notion: str, **expected) -> FixtureSpec:
-    """A fixture on an additive instance with one agent per row of exact
-    values, its pinned document given key by key."""
-    inst = Instance(len(rows), tuple(items), AdditiveValuation.of(rows))
-    return FixtureSpec(name, inst, method, notion, expected)
+    """A fixture, its pinned document given key by key."""
+    return FixtureSpec(name, tuple(items), tuple(map(tuple, rows)), method, notion, expected)
 
 
-@dataclass(frozen=True)
-class FixtureReport:
+class FixtureReport(_Record):
     """A verified fixture run. ``document`` is the solve result and witness
     as rendered for the comparison with the pinned document."""
 
@@ -147,7 +149,9 @@ FIXTURE_NAMES = tuple(FIXTURES)
 
 
 def fixture_instance(name: str) -> Instance:
-    return FIXTURES[name].instance
+    """The instance of fixture ``name``, built from its values on each call."""
+    spec = FIXTURES[name]
+    return Instance(len(spec.rows), spec.items, AdditiveValuation.of(spec.rows))
 
 
 def run_fixture(name: str, max_space: int | None = None) -> FixtureReport:
@@ -162,10 +166,11 @@ def run_fixture(name: str, max_space: int | None = None) -> FixtureReport:
         spec = FIXTURES[name]
     except KeyError:
         raise FixtureMismatch(name, "no such fixture") from None
-    result = solve_with_method(spec.instance, spec.method, max_space)
-    witness = _FAILURE_CHECKS[spec.failure_notion](spec.instance, result.allocation).witness
-    actual = result_to_dict(spec.instance, result)
-    actual["witness"] = None if witness is None else witness.as_dict(spec.instance)
+    inst = fixture_instance(name)
+    result = solve_with_method(inst, spec.method, max_space)
+    witness = _FAILURE_CHECKS[spec.failure_notion](inst, result.allocation).witness
+    actual = result_to_dict(inst, result)
+    actual["witness"] = None if witness is None else witness.as_dict(inst)
     diffs = [
         f"{key}:\n  expected {spec.expected.get(key)!r}\n  actual   {got!r}"
         for key, got in actual.items()

@@ -9,15 +9,13 @@ item.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotAdditive, NotIdentical
-from .model import AdditiveValuation, Allocation, Instance, SolveResult
+from .model import AdditiveValuation, Allocation, Instance, SolveResult, _Record
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(_Record):
     """One greedy step: ``item`` went to ``agent``, leaving the given
     per-agent running utilities."""
 

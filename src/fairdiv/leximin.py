@@ -16,7 +16,6 @@ Built-in specs, with v the agent's value, G/C her goods and chores:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,13 +32,14 @@ from .model import (
     Bundle,
     Instance,
     SolveResult,
+    _Record,
     classify_items,
     require_allocation,
     value,
 )
 
-@dataclass(frozen=True)
-class ObjectiveSpec:
+
+class ObjectiveSpec(_Record):
     """A named family of per-agent objective tuples.
 
     ``custom`` carries a user function (inst, agent, bundle) -> tuple for

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, islice
@@ -272,8 +272,92 @@ def _require_lowest_terms(scaled, scale: int) -> None:
         raise InvalidInstance(f"scale {scale} is not positive or not reduced")
 
 
-@dataclass(frozen=True)
-class AdditiveValuation:
+class _Record:
+    """Base of fairdiv's immutable value records.
+
+    A subclass names its fields by class annotations, after those of its
+    bases; a field with a class attribute of the same name defaults to it.
+    Records are built by position or keyword, then checked by
+    ``__post_init__``, which may set fields with ``object.__setattr__``;
+    afterwards no field can be assigned or deleted. ``vars(record)`` maps
+    the field names to their values, in field order. Two records are equal
+    when they are of one class and their fields are equal, and hash as the
+    tuple of their fields. The repr is ``Name(field=value, ...)``. Unlike
+    a frozen dataclass, defining a subclass generates no code.
+    """
+
+    #: Field names in order, and the defaults, set for each subclass.
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__annotations__", {})
+        cls._fields = cls._fields + tuple(name for name in own if name not in cls._fields)
+        cls._defaults = {name: getattr(cls, name) for name in cls._fields if hasattr(cls, name)}
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        fields = self.__dict__
+        for name, entry in zip(names, args):
+            fields[name] = entry
+        if kwargs or len(args) != len(names):
+            self._bind_rest(args, kwargs)
+        self.__post_init__()
+
+    def _bind_rest(self, args, kwargs):
+        """Set the fields after the positional ones, by keyword or default,
+        raising a function call's ``TypeError`` for a bad argument list."""
+        names, given = self._fields, len(args)
+        rest = names[given:]
+        fields = self.__dict__
+        used = 0
+        for key in rest:
+            if key in kwargs:
+                fields[key] = kwargs[key]
+                used += 1
+            elif key in self._defaults:
+                fields[key] = self._defaults[key]
+        if len(fields) == len(names) >= given and used == len(kwargs):
+            return
+        call = f"{type(self).__qualname__}.__init__()"
+        if given > len(names):
+            raise TypeError(
+                f"{call} takes {len(names) + 1} positional arguments but {given + 1} were given"
+            )
+        for key in kwargs:
+            if key not in names:
+                raise TypeError(f"{call} got an unexpected keyword argument {key!r}")
+            if key not in rest:
+                raise TypeError(f"{call} got multiple values for argument {key!r}")
+        missing = [key for key in rest if key not in fields]
+        raise TypeError(
+            f"{call} missing {len(missing)} required argument(s): " + ", ".join(map(repr, missing))
+        )
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, entry):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple([getattr(self, name) for name in self._fields]))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class AdditiveValuation(_Record):
     """Per-agent additive valuations: agent i values item j at
     ``scaled[i][j] / scale`` and a bundle at the sum over its items.
 
@@ -311,8 +395,7 @@ class AdditiveValuation:
         return tuple(tuple(Fraction(a, self.scale) for a in row) for row in self.scaled)
 
 
-@dataclass(frozen=True)
-class GeneralIdenticalValuation:
+class GeneralIdenticalValuation(_Record):
     """One set function shared by all agents: a dense table of 2^m exact
     values indexed by bundle bitmask, bundle S being worth
     ``scaled[S] / scale``.
@@ -342,8 +425,7 @@ class GeneralIdenticalValuation:
 Valuation = Union[AdditiveValuation, GeneralIdenticalValuation]
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Record):
     """A fair-division instance: n agents, m named items, one valuation model."""
 
     agents: int
@@ -402,8 +484,7 @@ class Instance:
         return tuple(self.items[j] for j in range(len(self.items)) if mask >> j & 1)
 
 
-@dataclass(frozen=True)
-class ItemClassification:
+class ItemClassification(_Record):
     """Per-agent split of items into goods and chores, as bitmasks.
 
     For every agent the two masks are disjoint and cover all items.
@@ -414,8 +495,7 @@ class ItemClassification:
     chores: tuple[Bundle, ...]
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(_Record):
     """A complete partition of the items: ``assignment[j]`` is the agent
     receiving item j. Every item is assigned to exactly one agent."""
 
@@ -477,8 +557,7 @@ def require_allocation(inst: Instance, alloc: Allocation) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(_Record):
     """Outcome of an exhaustive solve.
 
     ``objective_vector`` is the solver's per-position score vector (sorted

@@ -9,18 +9,17 @@ report alone. Each trial's instance is generated when the trial runs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .audit import CheckResult, Verdict, audit, require_notions
 from .enumeration import require_max_space
 from .generators import GeneratorConfig, generate
 from .methods import require_method, solve_with_method
-from .model import Allocation, Instance, _is_int
+from .model import Allocation, Instance, _is_int, _Record
 from .serialize import allocation_to_dict, instance_to_dict
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One audited failure: enough data to replay it exactly."""
 
     trial: int
@@ -41,8 +40,7 @@ class Violation:
         }
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(_Record):
     method: str
     notions: tuple[str, ...]
     trials: int

@@ -16,7 +16,7 @@ any product, and the product of an empty factor set is 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from fractions import Fraction
 from math import prod
 
@@ -35,6 +35,7 @@ from .model import (
     Allocation,
     Instance,
     SolveResult,
+    _Record,
     require_allocation,
     require_chores_only,
     scaled_value,
@@ -42,14 +43,19 @@ from .model import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class WelfareScore:
+@total_ordering
+class WelfareScore(_Record):
     """Degenerate-safe Nash product: the number of nonzero factors first,
     then the product of the nonzero factors (1 when there are none).
-    Field order makes comparisons lexicographic."""
+    Scores compare lexicographically in that order."""
 
     nonzero_count: int
     product: Fraction
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nonzero_count, self.product) < (other.nonzero_count, other.product)
 
 
 def _score(factors) -> WelfareScore:

@@ -1,7 +1,6 @@
 """Fairness checks and their witnesses."""
 
 import random
-from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
@@ -479,9 +478,9 @@ def _outcome(inst, alloc):
         shape = None
         if res.witness is not None:
             shape = [
-                (field.name, getattr(res.witness, field.name))
-                for field in fields(res.witness)
-                if not isinstance(getattr(res.witness, field.name), Fraction)
+                (name, entry)
+                for name, entry in vars(res.witness).items()
+                if not isinstance(entry, Fraction)
             ]
         outcome.append((notion, res.verdict, shape))
     return outcome

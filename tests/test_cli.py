@@ -1,6 +1,5 @@
 """End-to-end command line coverage via click's test runner."""
 
-import dataclasses
 import json
 import sys
 
@@ -15,7 +14,7 @@ from fairdiv import (
 )
 from fairdiv import greedy
 from fairdiv.cli import main
-from fairdiv.fixtures import FIXTURES
+from fairdiv.fixtures import FIXTURES, FixtureSpec
 from fairdiv.serialize import dumps
 
 runner = CliRunner()
@@ -207,6 +206,21 @@ def test_audit_exit_two_when_guard_skips(tmp_path):
     assert row["witness"] == {"search_space": 243, "limit": 10}
 
 
+@pytest.mark.parametrize("command", ["audit", "solve"])
+def test_a_cap_below_one_exits_two(tmp_path, command):
+    inst, instance_path = write_instance(tmp_path, "mnw2")
+    args = [command, "--instance", instance_path, "--max-space", "-1"]
+    if command == "audit":
+        args += ["--allocation", write_allocation(tmp_path, inst, (0, 0, 0, 1, 2))]
+        args += ["--notions", "po"]
+    else:
+        args += ["--method", "leximin"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: max_space must be at least 1, got -1\n"
+
+
 def test_audit_rejects_unknown_notion(tmp_path):
     inst, instance_path = write_instance(tmp_path, "mnw2")
     allocation_path = write_allocation(tmp_path, inst, (0, 0, 0, 1, 2))
@@ -236,7 +250,7 @@ def test_fixture_command(tmp_path):
 def test_fixture_divergence_exits_two(monkeypatch):
     spec = FIXTURES["mnw2"]
     score = {"nonzero_count": 3, "product": "191"}
-    broken = dataclasses.replace(spec, expected={**spec.expected, "score": score})
+    broken = FixtureSpec(**{**vars(spec), "expected": {**spec.expected, "score": score}})
     monkeypatch.setitem(FIXTURES, "mnw2", broken)
     res = runner.invoke(main, ["fixture", "--name", "mnw2"])
     assert res.exit_code == 2

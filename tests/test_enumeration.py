@@ -462,8 +462,10 @@ def test_tied_optima_straddle_a_chunk_boundary():
         assert swap.witness.improvement.assignment == (1, 0)
 
 
-@pytest.mark.parametrize("max_space", ["5", True, 2.5])
+@pytest.mark.parametrize("max_space", ["5", True, 2.5, -1, 0])
 def test_max_space_must_be_none_or_an_integer(max_space):
+    # n^m >= 1, so a cap below 1 would admit nothing
+    message = "at least 1" if type(max_space) is int else "None or an integer"
     inst = additive([(-1, -2), (-2, -1)])
     alloc = Allocation(2, (0, 1))
     config = GeneratorConfig(2, 2, "additive-chores", 1)
@@ -479,5 +481,5 @@ def test_max_space_must_be_none_or_an_integer(max_space):
         lambda: search_counterexamples(config, "alg-identical", ("ef",), 0, max_space),
     ]
     for call in calls:
-        with pytest.raises(ValueError, match="max_space must be None or an integer"):
+        with pytest.raises(ValueError, match=f"max_space must be {message}"):
             call()

@@ -1,6 +1,5 @@
 """Golden failure instances re-verified from scratch."""
 
-import dataclasses
 import json
 import subprocess
 import sys
@@ -13,12 +12,14 @@ from fairdiv import (
     FIXTURE_NAMES,
     Ef1Witness,
     FixtureMismatch,
+    Instance,
     Prop1Witness,
+    fixture_instance,
     format_value,
     run_fixture,
     solve_with_method,
 )
-from fairdiv.fixtures import FIXTURES
+from fairdiv.fixtures import FIXTURES, FixtureSpec
 from fairdiv.serialize import result_to_dict
 
 
@@ -35,9 +36,18 @@ def test_fixture_reverifies(name):
     assert doc["name"] == name
     assert doc["fails"] == FIXTURES[name].failure_notion
     assert isinstance(doc["witness"], dict)
-    assert doc["search_space"] == (
-        FIXTURES[name].instance.agents ** FIXTURES[name].instance.m
-    )
+    inst = fixture_instance(name)
+    assert doc["search_space"] == inst.agents**inst.m
+
+
+def test_no_fixture_instance_is_built_at_import():
+    # FIXTURES keeps names and value strings; fixture_instance parses them
+    for spec in FIXTURES.values():
+        assert not any(isinstance(entry, Instance) for entry in vars(spec).values())
+    inst = fixture_instance("mnw")
+    assert inst == fixture_instance("mnw") and inst is not fixture_instance("mnw")
+    assert (inst.agents, inst.items) == (3, ("a", "b", "c", "d", "e"))
+    assert inst.valuation.scaled[1] == (-10, -10, -10, -1, -2)
 
 
 def test_pinned_values_spot_checks():
@@ -50,7 +60,7 @@ def test_pinned_values_spot_checks():
     assert t1.failure_notion == "prop1"
     assert t1.expected["witness"] == Prop1Witness(
         0, Fraction(-18), Fraction(-12), Fraction(-11)
-    ).as_dict(t1.instance)
+    ).as_dict(fixture_instance("table1"))
     mnw = FIXTURES["mnw"]
     assert mnw.method == "mnw-prime"
     assert mnw.expected["score"] == {"nonzero_count": 3, "product": "15360"}
@@ -60,7 +70,7 @@ def test_pinned_values_spot_checks():
     assert mnw2.expected["score"] == {"nonzero_count": 3, "product": "192"}
     assert mnw2.expected["witness"] == Ef1Witness(
         0, 1, Fraction(-8), Fraction(-3), Fraction(-6)
-    ).as_dict(mnw2.instance)
+    ).as_dict(fixture_instance("mnw2"))
     mnw3 = FIXTURES["mnw3"]
     assert mnw3.method == "mnw-constrained"
     assert mnw3.expected["score"] == {
@@ -68,8 +78,8 @@ def test_pinned_values_spot_checks():
         "product": format_value(Fraction(1075437, 25)),
     }
     assert mnw3.failure_notion == "prop1"
-    for spec in FIXTURES.values():
-        inst = spec.instance
+    for name, spec in FIXTURES.items():
+        inst = fixture_instance(name)
         assert spec.expected["tie_count"] == 1
         assert spec.expected["search_space"] == inst.agents**inst.m
 
@@ -77,9 +87,10 @@ def test_pinned_values_spot_checks():
 def test_pinned_documents_have_the_keys_solve_prints():
     # the keys of `fairdiv solve`, in its order and without the method,
     # then the witness
-    for spec in FIXTURES.values():
-        result = solve_with_method(spec.instance, spec.method)
-        assert list(spec.expected) == [*result_to_dict(spec.instance, result), "witness"]
+    for name, spec in FIXTURES.items():
+        inst = fixture_instance(name)
+        result = solve_with_method(inst, spec.method)
+        assert list(spec.expected) == [*result_to_dict(inst, result), "witness"]
 
 
 def test_a_traced_fixture_renders_its_allocation_once(tmp_path):
@@ -108,10 +119,12 @@ def _pin(monkeypatch, name, notion=None, **expected):
     """Replace fixture ``name`` for one test, with the given keys of its
     pinned document, and its notion if one is given, changed."""
     spec = FIXTURES[name]
-    broken = dataclasses.replace(
-        spec,
-        failure_notion=notion or spec.failure_notion,
-        expected={**spec.expected, **expected},
+    broken = FixtureSpec(
+        **{
+            **vars(spec),
+            "failure_notion": notion or spec.failure_notion,
+            "expected": {**spec.expected, **expected},
+        }
     )
     monkeypatch.setitem(FIXTURES, name, broken)
 
