@@ -81,7 +81,6 @@ from .model import (
     Instance,
     ItemClassification,
     SolveResult,
-    aversion_view,
     classify_items,
     format_value,
     parse_pair,

@@ -14,6 +14,7 @@ from pathlib import Path
 import click
 
 from .audit import NOTIONS, Verdict, audit
+from .enumeration import require_max_space
 from .errors import FairdivError
 from .fixtures import FIXTURE_NAMES, run_fixture
 from .generators import FAMILIES, GeneratorConfig, generate
@@ -89,6 +90,7 @@ def solve(instance_path, method, trace, max_space):
     if trace:
         if method != "alg-identical":
             raise FairdivError("--trace applies only to --method alg-identical")
+        require_max_space(max_space)
         steps = alg_identical_trace(inst)
         for step in steps:
             click.echo(

@@ -13,16 +13,16 @@ every agent's sum of per-item integer contributions. The allocation at
 canonical index h * n^(m-k) + s has the row prefix[h] + suffix[s], so
 streaming ``prefix[h0:h1, None] + suffix`` chunk by chunk, each chunk a
 run of whole prefixes, visits the allocations in canonical order and
-keeps "first optimum wins" and every tie count. Entries that are not
-additive (a general table, the ranks of custom objectives) come from an
-n x 2^m lookup: the blocks also carry bundle masks, OR-ed per agent.
+keeps "first optimum wins" and every tie count. The values of a general
+table are not additive; they come from one 2^m lookup, shared by every
+agent: the blocks also carry bundle masks, OR-ed per agent.
 
 Exactness: every entry is an integer under one common positive scale (the
 least common multiple of all denominators), never a float. The blocks are
 int64 only when :func:`contribution_matrix` proves up front that no entry
 can leave int64. Each entry, and each partial sum on the way to it, is
 agent i's contributions summed over some set S of items, plus
-``lookup[i, S]`` when there is a lookup. So its magnitude is at most
+``lookup[S]`` when there is a lookup. So its magnitude is at most
 B = max |lookup| + the largest row sum of |contributions|, and B < 2^63
 keeps every one in int64. No consumer adds a row's n entries together;
 each of them only compares such entries or stays within [-B, B]:
@@ -38,7 +38,7 @@ each of them only compares such entries or stays within [-B, B]:
 * ``_pareto_frontier`` builds the same partial sums, item by item, and
   only sorts, merges and compares them; ``constrained_mnw_solve`` negates
   chores-only vectors into [0, B];
-* the lookup add, ``rows + lookup[i, masks]``, is the entry itself.
+* the lookup add, ``rows + lookup[masks]``, is the entry itself.
 
 Otherwise the same code runs on ``dtype=object`` arrays of Python integers.
 """
@@ -110,11 +110,12 @@ def contribution_matrix(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The :func:`allocation_chunks` arguments of an instance: what each item
     adds to each agent's row entry, as an n x m integer matrix, and the
-    n x 2^m bundle lookup of a general table (None if additive).
+    2^m bundle lookup of a general table, which every agent shares (None
+    if additive).
 
     Additive entries are ``weight`` times the scaled value plus
     ``extra[i][j]``; a general table gets ``extra`` alone and a lookup of
-    ``weight`` times :func:`model.scaled_table`, one row for all agents.
+    ``weight`` times :func:`model.scaled_table`.
     ``extra`` (optional, n x m integers) holds leximin's goods and chores
     counts. Both arrays are int64 only when the largest possible row
     entry is below 2^63 (see the module docstring); otherwise Python
@@ -138,7 +139,7 @@ def contribution_matrix(
     dtype = np.int64 if bound < 2**63 else object
     contributions = np.array(contributions, dtype=dtype).reshape(n, m)
     if lookup is not None:
-        lookup = np.broadcast_to(lookup.astype(dtype, copy=False) * weight, (n, 1 << m))
+        lookup = lookup.astype(dtype, copy=False) * weight
     return contributions, lookup
 
 
@@ -167,8 +168,8 @@ def allocation_chunks(contributions: np.ndarray, lookup: np.ndarray | None = Non
     """Every allocation as one integer row, in canonical order.
 
     Entry i of an allocation's row is the sum of ``contributions[i, j]``
-    over the items j in A_i, plus ``lookup[i, A_i]`` when an n x 2^m
-    bundle lookup is given; see :func:`contribution_matrix`. Yields
+    over the items j in A_i, plus ``lookup[A_i]`` when a 2^m bundle
+    lookup is given; see :func:`contribution_matrix`. Yields
     (canonical index of the first row, rows), covering every allocation
     once, in chunks of whole prefixes of about :data:`ROW_BUDGET` rows.
     """
@@ -184,7 +185,7 @@ def allocation_chunks(contributions: np.ndarray, lookup: np.ndarray | None = Non
         rows = prefix[start : start + step, None] + suffix
         if lookup is not None:
             masks = prefix_masks[start : start + step, None] | suffix_masks
-            rows = rows + lookup[np.arange(n), masks]
+            rows = rows + lookup[masks]
         yield start * width, rows.reshape(-1, n)
 
 

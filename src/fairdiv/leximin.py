@@ -7,7 +7,7 @@ increasing objective tuple, the first position at which the two sorted
 tuple sequences differ is smaller in A. This is a strict weak order, and
 a leximin-optimal allocation is a maximal element of it.
 
-Built-in specs, with v the agent's value, G/C her goods and chores:
+The paper's three specs, with v the agent's value, G/C her goods and chores:
 
 * utility:            f(S) = (v(S),)
 * utility-goods:      f(S) = (v(S), |S  intersect  G|)
@@ -16,7 +16,7 @@ Built-in specs, with v the agent's value, G/C her goods and chores:
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -40,30 +40,18 @@ from .model import (
 
 
 class ObjectiveSpec(_Record):
-    """A named family of per-agent objective tuples.
-
-    ``custom`` carries a user function (inst, agent, bundle) -> tuple for
-    the custom kind; the built-in kinds ignore it. :func:`leximin_solve`
-    calls it once per (agent, bundle) in agent, then bundle-mask order:
-    n * 2^m calls, or one on the full bundle when n = 1.
-    """
+    """A named family of per-agent objective tuples: one of the three kinds
+    below, each a constant of this class."""
 
     kind: str
-    custom: Optional[Callable[[Instance, int, Bundle], tuple]] = None
 
     UTILITY = "utility"
     UTILITY_GOODS = "utility-goods"
     UTILITY_GOODS_CHORES = "utility-goods-chores"
-    CUSTOM = "custom"
 
     def __post_init__(self):
-        kinds = (self.UTILITY, self.UTILITY_GOODS, self.UTILITY_GOODS_CHORES, self.CUSTOM)
-        if self.kind not in kinds:
+        if self.kind not in (self.UTILITY, self.UTILITY_GOODS, self.UTILITY_GOODS_CHORES):
             raise ValueError(f"unknown objective kind {self.kind!r}")
-        if (self.kind == self.CUSTOM) != (self.custom is not None):
-            raise ValueError("custom objectives, and only them, need a function")
-        if self.custom is not None and not callable(self.custom):
-            raise ValueError(f"custom objective {self.custom!r} is not callable")
 
 
 UTILITY = ObjectiveSpec(ObjectiveSpec.UTILITY)
@@ -79,7 +67,7 @@ SPEC_NAMES = {
 
 
 def _counts(inst: Instance, spec: ObjectiveSpec) -> Callable[[int, Bundle], tuple]:
-    """What a built-in spec counts after the value, as a function of
+    """What a spec counts after the value, as a function of
     (agent, bundle): nothing, the goods held, or the goods held and minus
     the chores held."""
     if spec.kind == ObjectiveSpec.UTILITY:
@@ -95,8 +83,6 @@ def _counts(inst: Instance, spec: ObjectiveSpec) -> Callable[[int, Bundle], tupl
 
 def objective(inst: Instance, spec: ObjectiveSpec, agent: int, bundle: Bundle) -> tuple:
     """The objective tuple of one agent for one bundle, exact."""
-    if spec.kind == ObjectiveSpec.CUSTOM:
-        return tuple(spec.custom(inst, agent, bundle))
     return (value(inst, agent, bundle), *_counts(inst, spec)(agent, bundle))
 
 
@@ -121,10 +107,10 @@ def precedes(inst: Instance, spec: ObjectiveSpec, a: Allocation, b: Allocation) 
 
 
 def _objective_rows(inst: Instance, spec: ObjectiveSpec):
-    """(Chunks of rows ordering like the objective tuples, (agent, bundle) -> tuple).
+    """(Chunks of rows ordering like the objective tuples, the spec's :func:`_counts`).
 
-    A built-in tuple is packed into one integer: the scaled value, then
-    the :func:`_counts` as base-(m+1) digits. Counts add up over items, so
+    Each tuple is packed into one integer: the scaled value, then the
+    :func:`_counts` as base-(m+1) digits. Counts add up over items, so
     each item adds the packed counts of its one-item bundle; two bundles'
     counts differ by at most m, so integer order on the keys is
     lexicographic order on the tuples.
@@ -134,8 +120,6 @@ def _objective_rows(inst: Instance, spec: ObjectiveSpec):
     least 0 to that agent, and one made only of its chores at most 0. Only
     counts m apart, which come from such bundles, could overflow base m,
     and their values already order them."""
-    if spec.kind == ObjectiveSpec.CUSTOM:
-        return _rank_rows(inst, spec)
     base = inst.m + 1
     counts = _counts(inst, spec)
 
@@ -147,26 +131,7 @@ def _objective_rows(inst: Instance, spec: ObjectiveSpec):
 
     extra = [[packed(i, 1 << j) for j in range(inst.m)] for i in range(inst.agents)]
     matrix = contribution_matrix(inst, base ** len(counts(0, 0)), extra)
-    return allocation_chunks(*matrix), lambda agent, bundle: (
-        value(inst, agent, bundle), *counts(agent, bundle)
-    )
-
-
-def _rank_rows(inst: Instance, spec: ObjectiveSpec):
-    """:func:`_objective_rows` of a custom spec: each (agent, bundle) tuple
-    is replaced by its rank among all of them, equal sorted neighbours
-    sharing one, so sorted rank rows compare as the sorted tuples do. With
-    one agent only the full bundle is evaluated; its rank fills the row."""
-    n, m = inst.agents, inst.m
-    bundles = range(1 << m) if n > 1 else [inst.full_mask]
-    tuples = [objective(inst, spec, i, bundle) for i in range(n) for bundle in bundles]
-    order = sorted(range(len(tuples)), key=tuples.__getitem__)
-    ranks = [0] * len(tuples)
-    for before, index in zip(order, order[1:]):
-        ranks[index] = ranks[before] + (tuples[before] != tuples[index])
-    lookup = np.broadcast_to(np.array(ranks, dtype=np.int64).reshape(n, -1), (n, 1 << m))
-    chunks = allocation_chunks(np.zeros((n, m), dtype=np.int64), lookup)
-    return chunks, lambda agent, bundle: tuples[agent * len(bundles) + bundles.index(bundle)]
+    return allocation_chunks(*matrix), counts
 
 
 def leximin_solve(
@@ -182,10 +147,10 @@ def leximin_solve(
     optimal sorted objective vector.
     """
     size = guard_search_space(inst.agents, inst.m, max_space)
-    chunks, objective_of = _objective_rows(inst, spec)
+    chunks, counts = _objective_rows(inst, spec)
     first, _key, ties = lex_argmax(chunks, lambda chunk: np.sort(chunk, axis=1).T)
     allocation = Allocation(inst.agents, assignment_at(inst.agents, inst.m, first))
-    tuples = map(objective_of, range(inst.agents), allocation.bundles())
+    tuples = ((value(inst, i, s), *counts(i, s)) for i, s in enumerate(allocation.bundles()))
     return SolveResult(allocation, tuple(sorted(tuples)), None, ties, size)
 
 

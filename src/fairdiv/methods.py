@@ -3,6 +3,7 @@ the command line."""
 
 from __future__ import annotations
 
+from .enumeration import require_max_space
 from .greedy import alg_identical_trace, greedy_result
 from .leximin import SPEC_NAMES, leximin_solve
 from .model import Instance, SolveResult
@@ -21,7 +22,8 @@ def solve_with_method(
     inst: Instance, method: str, max_space: int | None = None
 ) -> SolveResult:
     """Run the named solver; the greedy method's result is
-    :func:`greedy.greedy_result`."""
+    :func:`greedy.greedy_result`. Every method checks ``max_space``."""
+    require_max_space(max_space)
     require_method(method)
     if method in SPEC_NAMES:
         return leximin_solve(inst, SPEC_NAMES[method], max_space)

@@ -712,19 +712,8 @@ def require_chores_only(inst: Instance) -> None:
     :class:`NotChoresOnly` on the first positively valued (agent, item)
     pair of an additive one."""
     if not isinstance(inst.valuation, AdditiveValuation):
-        raise NotAdditive("the aversion view requires an additive instance")
+        raise NotAdditive("Nash welfare requires an additive instance")
     for i, row in enumerate(inst.valuation.scaled):
         for j, entry in enumerate(row):
             if entry > 0:
                 raise NotChoresOnly(i, j)
-
-
-def aversion_view(inst: Instance) -> Instance:
-    """Negate a chores-only additive instance into aversion form.
-
-    The result holds each agent's aversions u_i = |v_i| = -v_i, all
-    nonnegative. Raises as :func:`require_chores_only` does.
-    """
-    require_chores_only(inst)
-    rows = tuple(tuple(-entry for entry in row) for row in inst.valuation.scaled)
-    return Instance(inst.agents, inst.items, AdditiveValuation(rows, inst.valuation.scale))

@@ -1,5 +1,5 @@
 """Reference implementations of every exhaustive operation and of the
-five value checks.
+five value checks, and the paper's aversion form of a chores instance.
 
 Plain scalar loops over all n^m assignments in canonical order, and over
 all m * 2^(m-1) marginals of a general table, on exact ``Fraction``
@@ -28,6 +28,7 @@ from fairdiv import (
     Ef1Witness,
     EfxWitness,
     EnvyWitness,
+    Instance,
     ItemClassification,
     MixedMonotonicity,
     NonzeroEmptySet,
@@ -35,6 +36,7 @@ from fairdiv import (
     Prop1Witness,
     PropWitness,
     Verdict,
+    require_chores_only,
 )
 from fairdiv.audit import CHORE_COPY, GOOD_REMOVAL
 
@@ -56,6 +58,15 @@ def exact_tables(inst):
         ]
         for row in inst.valuation.matrix
     ]
+
+
+def aversion_view(inst):
+    """Negate a chores-only additive instance into the paper's aversion
+    form: each agent's aversions u_i = |v_i| = -v_i, all nonnegative.
+    Raises as ``require_chores_only`` does."""
+    require_chores_only(inst)
+    rows = tuple(tuple(-entry for entry in row) for row in inst.valuation.scaled)
+    return Instance(inst.agents, inst.items, AdditiveValuation(rows, inst.valuation.scale))
 
 
 def mixed_item(inst):
@@ -144,14 +155,6 @@ def bundle_masks(assignment, n: int) -> list[int]:
 def _solver_key_fn(inst, spec):
     """Key function assignment -> sorted objective-tuple sequence."""
     n = inst.agents
-    if spec.kind == ObjectiveSpec.CUSTOM:
-        fn = spec.custom
-
-        def key(assignment):
-            masks = bundle_masks(assignment, n)
-            return tuple(sorted(tuple(fn(inst, i, masks[i])) for i in range(n)))
-
-        return key
     tables = exact_tables(inst)
     cls = classify_items(inst)
 

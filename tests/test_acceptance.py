@@ -14,6 +14,7 @@ from itertools import combinations, product
 import numpy as np
 
 from conftest import prefix_allocations
+from oracle import aversion_view
 from fairdiv import (
     UTILITY,
     UTILITY_GOODS_CHORES,
@@ -24,7 +25,6 @@ from fairdiv import (
     WelfareScore,
     alg_identical,
     alg_identical_trace,
-    aversion_view,
     check_EF1,
     check_EFX,
     check_PO,

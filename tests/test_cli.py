@@ -221,6 +221,29 @@ def test_a_cap_below_one_exits_two(tmp_path, command):
     assert res.stderr == "error: max_space must be at least 1, got -1\n"
 
 
+@pytest.mark.parametrize("trace", [[], ["--trace"]])
+def test_alg_identical_refuses_a_cap_below_one(tmp_path, trace):
+    # the greedy enumerates nothing, yet refuses the cap every method refuses
+    instance_path = str(tmp_path / "inst.json")
+    assert runner.invoke(main, GEN_ARGS + ["--out", instance_path]).exit_code == 0
+    args = ["solve", "--instance", instance_path, "--method", "alg-identical"]
+    res = runner.invoke(main, [*args, "--max-space", "-1", *trace])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: max_space must be at least 1, got -1\n"
+
+
+@pytest.mark.parametrize("method", ["mnw-prime", "mnw-constrained"])
+def test_nash_welfare_on_a_general_table_exits_two(tmp_path, method):
+    path = tmp_path / "general.json"
+    table = {"type": "general-identical", "table": ["0", "-1"]}
+    path.write_text(json.dumps({"agents": 2, "items": ["a"], "valuation": table}))
+    res = runner.invoke(main, ["solve", "--instance", str(path), "--method", method])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: Nash welfare requires an additive instance\n"
+
+
 def test_audit_rejects_unknown_notion(tmp_path):
     inst, instance_path = write_instance(tmp_path, "mnw2")
     allocation_path = write_allocation(tmp_path, inst, (0, 0, 0, 1, 2))

@@ -20,7 +20,6 @@ from fairdiv import (
     UTILITY,
     Allocation,
     GeneratorConfig,
-    ObjectiveSpec,
     audit,
     check_PO,
     constrained_mnw_solve,
@@ -31,6 +30,7 @@ from fairdiv import (
     nash_prime_factors,
     objective,
     search_counterexamples,
+    solve_with_method,
     value,
 )
 from fairdiv import enumeration, welfare
@@ -39,32 +39,6 @@ from fairdiv.leximin import _objective_rows
 from fairdiv.welfare import _pareto_front_mask, _pareto_frontier
 
 SPECS = tuple(SPEC_NAMES.values())
-
-
-def _spread(inst, agent, bundle):
-    # value first, then fewer items is better
-    return (value(inst, agent, bundle), -bundle.bit_count())
-
-
-def _coarse(inst, agent, bundle):
-    # heavy ties: only the sign of the value and the parity of the size
-    worth = value(inst, agent, bundle)
-    return ((worth > 0) - (worth < 0), bundle.bit_count() % 2)
-
-
-def _unhashable(inst, agent, bundle):
-    # a list entry: equal tuples must be found without hashing
-    return (bundle.bit_count() // 2, [value(inst, agent, bundle) >= 0])
-
-
-def _ragged(inst, agent, bundle):
-    # tuples of two lengths, where (v,) ranks below (v, agent)
-    return (min(value(inst, agent, bundle), 1),) + (agent,) * (bundle.bit_count() % 2)
-
-
-CUSTOM_SPECS = tuple(
-    ObjectiveSpec(ObjectiveSpec.CUSTOM, fn) for fn in (_spread, _coarse, _unhashable, _ragged)
-)
 
 #: Chunk sizes: one prefix per chunk, a few prefixes, and the default.
 BUDGETS = st.sampled_from([1, 7, enumeration.ROW_BUDGET])
@@ -180,7 +154,12 @@ def assert_po_matches(inst, alloc):
 
 @settings(max_examples=60)
 @given(INSTANCES, st.sampled_from(SPECS), BUDGETS)
+@example(general(3, (0,)), SPECS[2], 7)
+@example(additive([(-1, 2, Fraction(1, 3))]), SPECS[1], 1)
+@example(additive([(0, 0, 0), (0, 0, 0)]), UTILITY, 1)
 def test_leximin_solve_matches_oracle(inst, spec, rows):
+    # a general table with m = 0 and n = 3, n = 1, and a zero matrix whose
+    # n^m allocations all tie, as explicit examples
     with budget(rows):
         assert_leximin_matches(inst, spec)
 
@@ -225,10 +204,8 @@ PACKING_INSTANCES = (
 )
 
 
-@pytest.mark.parametrize("spec", SPECS + CUSTOM_SPECS[:2])
+@pytest.mark.parametrize("spec", SPECS)
 def test_packed_row_entries_order_like_objective_tuples(spec):
-    # a custom spec's entries are the ranks of its tuples; the pairs are
-    # hashed here, so only the specs with hashable tuples take part
     for inst in PACKING_INSTANCES:
         pairs = set()
         for start, chunk in _objective_rows(inst, spec)[0]:
@@ -299,21 +276,6 @@ def test_check_PO_holds_without_a_scan_on_identical_additive_rows(case):
     assert oracle.po_witness(*case) is None
     with patch("fairdiv.audit.allocation_chunks", side_effect=AssertionError("scanned")):
         assert check_PO(*case).holds
-
-
-@settings(max_examples=60)
-@given(with_allocation(INSTANCES), st.sampled_from(CUSTOM_SPECS), BUDGETS)
-@example((additive([(-1, 2, Fraction(1, 3))]), Allocation(1, (0, 0, 0))), CUSTOM_SPECS[0], 1)
-@example((additive([()] * 3), Allocation(3, ())), CUSTOM_SPECS[2], 1)
-@example((general(3, (0,)), Allocation(3, ())), CUSTOM_SPECS[3], 7)
-def test_custom_spec_matches_oracle(case, spec, rows):
-    # n = 1 and m = 0 as explicit examples, general tables among the draws
-    inst, alloc = case
-    with budget(rows):
-        assert_leximin_matches(inst, spec)
-        assert is_leximin_optimal(inst, spec, alloc) == oracle.is_leximin_optimal(
-            inst, spec, alloc
-        )
 
 
 def test_single_agent_and_no_items():
@@ -411,6 +373,15 @@ def test_nash_products_beyond_int64_stay_exact():
     assert product.tolist() == [(big + 1) ** 2]
 
 
+def test_a_general_table_is_one_lookup_that_every_agent_shares():
+    inst = general(3, (0, 2, -1, 1))
+    contributions, lookup = contribution_matrix(inst, 5)
+    assert contributions.shape == (3, 2)
+    assert lookup.shape == (2**inst.m,)
+    assert lookup.tolist() == [0, 10, -5, 5]
+    assert contribution_matrix(additive([(1, -1)] * 3))[1] is None
+
+
 def test_leximin_weight_past_int64_takes_the_exact_path():
     # two chores near 2^61 and 2^62 at scale 1: times leximin++'s weight
     # m + 1 = 3 the pair's value passes 2^63 and would wrap positive
@@ -467,6 +438,7 @@ def test_max_space_must_be_none_or_an_integer(max_space):
     # n^m >= 1, so a cap below 1 would admit nothing
     message = "at least 1" if type(max_space) is int else "None or an integer"
     inst = additive([(-1, -2), (-2, -1)])
+    identical = additive([(-1, -2), (-1, -2)])
     alloc = Allocation(2, (0, 1))
     config = GeneratorConfig(2, 2, "additive-chores", 1)
     calls = [
@@ -474,6 +446,8 @@ def test_max_space_must_be_none_or_an_integer(max_space):
         lambda: leximin_solve(inst, max_space=max_space),
         lambda: mnw_prime_solve(inst, max_space),
         lambda: constrained_mnw_solve(inst, max_space),
+        # the greedy enumerates nothing, yet refuses the cap all the same
+        lambda: solve_with_method(identical, "alg-identical", max_space),
         lambda: check_PO(inst, alloc, max_space),
         lambda: audit(inst, alloc, ("po",), max_space),
         lambda: audit(inst, alloc, ("ef",), max_space),

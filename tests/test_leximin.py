@@ -54,20 +54,13 @@ def test_objective_on_general_valuations():
     assert objective(inst, UTILITY_GOODS_CHORES, 1, 0b10) == (Fraction(-1), 0, -1)
 
 
-def test_objective_custom():
-    spec = ObjectiveSpec(ObjectiveSpec.CUSTOM, lambda inst, i, s: (s.bit_count(),))
-    assert objective(TABLE1, spec, 3, 0b0000111) == (3,)
-
-
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        ObjectiveSpec("egalitarian")
-    with pytest.raises(ValueError):
-        ObjectiveSpec(ObjectiveSpec.CUSTOM)
-    with pytest.raises(ValueError):
-        ObjectiveSpec(ObjectiveSpec.CUSTOM, 42)
-    with pytest.raises(ValueError):
-        ObjectiveSpec(ObjectiveSpec.UTILITY, lambda inst, i, s: ())
+    # the paper's three kinds are the only ones, and no spec takes a function
+    for kind in ("egalitarian", "custom"):
+        with pytest.raises(ValueError, match=f"unknown objective kind '{kind}'"):
+            ObjectiveSpec(kind)
+    with pytest.raises(TypeError):
+        ObjectiveSpec(UTILITY.kind, lambda inst, i, s: ())
 
 
 def test_spec_names():
@@ -167,32 +160,13 @@ def test_plus_plus_refinement_breaks_utility_ties():
     assert refined.objective_vector == ((Fraction(0), 1), (Fraction(5), 1))
 
 
-def test_constant_custom_objective_ties_everything():
-    inst = additive([(1, 2), (3, 4)])
-    spec = ObjectiveSpec(ObjectiveSpec.CUSTOM, lambda inst, i, s: (0,))
-    res = leximin_solve(inst, spec)
-    assert res.tie_count == 4
-    assert res.allocation.assignment == (0, 0)
-
-
-def test_custom_function_is_called_once_per_agent_and_bundle():
-    calls = []
-
-    def counted(inst, agent, bundle):
-        calls.append((agent, bundle))
-        return (value(inst, agent, bundle),)
-
-    spec = ObjectiveSpec(ObjectiveSpec.CUSTOM, counted)
-    for inst in (additive([(1, -2, 3), (2, 2, -1), (0, 1, 1)]), general(2, (0, 1, 2, 2))):
-        calls.clear()
-        leximin_solve(inst, spec)
-        assert calls == [(i, s) for i in range(inst.agents) for s in range(1 << inst.m)]
-    # one agent has one allocation, so only its full bundle is evaluated
-    calls.clear()
-    res = leximin_solve(additive([(1, -2, 3)]), spec)
-    assert calls == [(0, 0b111)]
-    assert res.objective_vector == ((Fraction(2),),)
-    assert res.tie_count == 1
+def test_zero_values_tie_every_allocation():
+    # every utility is 0, so the first of the n^m allocations wins
+    for inst in (additive([(0, 0), (0, 0)]), general(3, (0, 0, 0, 0))):
+        res = leximin_solve(inst, UTILITY)
+        assert res.tie_count == inst.agents**inst.m
+        assert res.allocation.assignment == (0, 0)
+        assert res.objective_vector == ((Fraction(0),),) * inst.agents
 
 
 @pytest.mark.parametrize("method", ["leximin++", "leximin-gc"])

@@ -23,7 +23,6 @@ from fairdiv import (
     NotChoresOnly,
     SignMismatch,
     ZeroTotal,
-    aversion_view,
     classify_items,
     fixture_instance,
     format_value,
@@ -38,6 +37,7 @@ from fairdiv import (
     model,
 )
 from fairdiv.model import format_table
+from oracle import aversion_view
 
 
 # ---------------------------------------------------------------- values

@@ -116,7 +116,7 @@ RECORDS = [
         },
     ),
     (TraceStep, {"item": 1, "agent": 0, "utilities": (Fraction(-1), Fraction(0))}),
-    (ObjectiveSpec, {"kind": ObjectiveSpec.UTILITY, "custom": None}),
+    (ObjectiveSpec, {"kind": ObjectiveSpec.UTILITY}),
     (
         Violation,
         {
@@ -136,7 +136,7 @@ RECORDS = [
 ]
 
 #: The fields that may be left out, with their defaults.
-DEFAULTS = {CheckResult: {"witness": None}, ObjectiveSpec: {"custom": None}}
+DEFAULTS = {CheckResult: {"witness": None}}
 
 
 def _record_classes(base=_Record):
