@@ -13,19 +13,19 @@ every agent's sum of per-item integer contributions. The allocation at
 canonical index h * n^(m-k) + s has the row prefix[h] + suffix[s], so
 streaming ``prefix[h0:h1, None] + suffix`` chunk by chunk, each chunk a
 run of whole prefixes, visits the allocations in canonical order and
-keeps "first optimum wins" and every tie count. The values of a general
-table are not additive; they come from one 2^m lookup, shared by every
-agent: the blocks also carry bundle masks, OR-ed per agent.
+keeps "first optimum wins" and every tie count. A general table's values
+are not additive: its blocks sum item bits into bundle masks (the halves
+share no item), read through one 2^m lookup that every agent shares.
 
 Exactness: every entry is an integer under one common positive scale (the
-least common multiple of all denominators), never a float. The blocks are
-int64 only when :func:`contribution_matrix` proves up front that no entry
-can leave int64. Each entry, and each partial sum on the way to it, is
-agent i's contributions summed over some set S of items, plus
-``lookup[S]`` when there is a lookup. So its magnitude is at most
-B = max |lookup| + the largest row sum of |contributions|, and B < 2^63
-keeps every one in int64. No consumer adds a row's n entries together;
-each of them only compares such entries or stays within [-B, B]:
+least common multiple of all denominators), never a float. Entries are
+int64 only when :func:`contribution_matrix` proves up front that none can
+leave int64. Each entry, and each partial sum on the way to it, sums
+agent i's contributions over some set S of items, or adds counts over
+part of S to a general table's weighted value of S. So its magnitude is
+at most the bound B checked there, and B < 2^63 keeps every one in int64.
+No consumer adds a row's n entries together; each of them only compares
+such entries or stays within [-B, B]:
 
 * leximin sorts each row and compares the columns;
 * ``mnw_prime_solve`` computes ``chunk - totals``, where ``totals[i]`` is
@@ -37,8 +37,7 @@ each of them only compares such entries or stays within [-B, B]:
   such entries too;
 * ``_pareto_frontier`` builds the same partial sums, item by item, and
   only sorts, merges and compares them; ``constrained_mnw_solve`` negates
-  chores-only vectors into [0, B];
-* the lookup add, ``rows + lookup[masks]``, is the entry itself.
+  chores-only vectors into [0, B].
 
 Otherwise the same code runs on ``dtype=object`` arrays of Python integers.
 """
@@ -113,13 +112,15 @@ def contribution_matrix(
     2^m bundle lookup of a general table, which every agent shares (None
     if additive).
 
-    Additive entries are ``weight`` times the scaled value plus
-    ``extra[i][j]``; a general table gets ``extra`` alone and a lookup of
-    ``weight`` times :func:`model.scaled_table`.
     ``extra`` (optional, n x m integers) holds leximin's goods and chores
-    counts. Both arrays are int64 only when the largest possible row
-    entry is below 2^63 (see the module docstring); otherwise Python
-    integers.
+    counts. Additive entries are ``weight`` times the scaled value plus
+    ``extra[i][j]``. A general table's ``extra`` rows are equal, as its
+    goods/chores split is shared: its matrix holds item bits ``1 << j``
+    and its lookup ``weight`` times :func:`model.scaled_table` plus
+    ``extra[0][j]`` per item j in the bundle. The additive matrix or the
+    lookup is int64 only when B < 2^63, B being the largest row sum of
+    |contributions|, or max |weight * table| + sum |extra[0]|; otherwise
+    Python integers.
     """
     n, m = inst.agents, inst.m
     if extra is None:
@@ -129,18 +130,15 @@ def contribution_matrix(
             [entry * weight + add for entry, add in zip(row, adds)]
             for row, adds in zip(inst.valuation.scaled, extra)
         ]
-        lookup = None
-        bound = 0
-    else:
-        contributions = extra
-        lookup = scaled_table(inst.valuation)
-        bound = int(np.abs(lookup).max()) * weight
-    bound += max(sum(abs(entry) for entry in row) for row in contributions)
-    dtype = np.int64 if bound < 2**63 else object
-    contributions = np.array(contributions, dtype=dtype).reshape(n, m)
-    if lookup is not None:
-        lookup = lookup.astype(dtype, copy=False) * weight
-    return contributions, lookup
+        bound = max(sum(abs(entry) for entry in row) for row in contributions)
+        dtype = np.int64 if bound < 2**63 else object
+        return np.array(contributions, dtype=dtype).reshape(n, m), None
+    lookup = scaled_table(inst.valuation)
+    bound = int(np.abs(lookup).max()) * weight + sum(map(abs, extra[0]))
+    lookup = lookup.astype(np.int64 if bound < 2**63 else object, copy=False) * weight
+    for j, add in enumerate(extra[0]):
+        lookup.reshape(-1, 2, 1 << j)[:, 1] += add
+    return np.array([[1 << j for j in range(m)]] * n, dtype=np.int64), lookup
 
 
 def _extend(block: np.ndarray, column: np.ndarray) -> np.ndarray:
@@ -168,24 +166,20 @@ def allocation_chunks(contributions: np.ndarray, lookup: np.ndarray | None = Non
     """Every allocation as one integer row, in canonical order.
 
     Entry i of an allocation's row is the sum of ``contributions[i, j]``
-    over the items j in A_i, plus ``lookup[A_i]`` when a 2^m bundle
-    lookup is given; see :func:`contribution_matrix`. Yields
-    (canonical index of the first row, rows), covering every allocation
-    once, in chunks of whole prefixes of about :data:`ROW_BUDGET` rows.
+    over the items j in A_i, read through a 2^m bundle ``lookup`` if given;
+    see :func:`contribution_matrix`. Yields (canonical index of the first
+    row, rows), covering every allocation once, in chunks of whole
+    prefixes of about :data:`ROW_BUDGET` rows.
     """
     n, m = contributions.shape
     k = m // 2
     prefix, suffix = _block(contributions[:, :k]), _block(contributions[:, k:])
-    if lookup is not None:
-        bits = np.array([[1 << j for j in range(m)]] * n, dtype=np.int64)
-        prefix_masks, suffix_masks = _block(bits[:, :k]), _block(bits[:, k:])
     width = len(suffix)
     step = max(1, ROW_BUDGET // width)
     for start in range(0, len(prefix), step):
         rows = prefix[start : start + step, None] + suffix
         if lookup is not None:
-            masks = prefix_masks[start : start + step, None] | suffix_masks
-            rows = rows + lookup[masks]
+            rows = lookup[rows]
         yield start * width, rows.reshape(-1, n)
 
 
@@ -202,14 +196,10 @@ def lex_max(columns) -> tuple[np.ndarray, tuple[int, ...]]:
     return hits, tuple(top)
 
 
-def lex_argmax(chunks, columns_of) -> tuple[int, tuple[int, ...], int]:
-    """The lexicographic maximum over all allocations of the columns that
-    ``columns_of`` derives from each chunk of rows, given the
-    :func:`allocation_chunks` of every allocation.
-
-    Returns (canonical index of the first maximizer, the maximum, number of
-    maximizers).
-    """
+def lex_argmax(chunks, columns_of) -> tuple[int, int]:
+    """(Canonical index of the first, number of) lexicographic maximizers
+    over all allocations of the columns that ``columns_of`` derives from
+    each chunk of rows, given the :func:`allocation_chunks` of every one."""
     best = None
     first = None
     ties = 0
@@ -219,4 +209,4 @@ def lex_argmax(chunks, columns_of) -> tuple[int, tuple[int, ...], int]:
             best, first, ties = top, start + int(hits[0]), len(hits)
         elif top == best:
             ties += len(hits)
-    return first, best, ties
+    return first, ties

@@ -86,12 +86,16 @@ def objective(inst: Instance, spec: ObjectiveSpec, agent: int, bundle: Bundle) -
     return (value(inst, agent, bundle), *_counts(inst, spec)(agent, bundle))
 
 
+def _sorted_tuples(inst: Instance, counts, alloc: Allocation) -> tuple:
+    """:func:`sorted_objectives`, given the spec's :func:`_counts`."""
+    require_allocation(inst, alloc)
+    return tuple(sorted((value(inst, i, s), *counts(i, s)) for i, s in enumerate(alloc.bundles())))
+
+
 def sorted_objectives(inst: Instance, spec: ObjectiveSpec, alloc: Allocation) -> tuple:
     """The agents' objective tuples for their own bundles, in increasing
     order."""
-    require_allocation(inst, alloc)
-    bundles = alloc.bundles()
-    return tuple(sorted(objective(inst, spec, i, mask) for i, mask in enumerate(bundles)))
+    return _sorted_tuples(inst, _counts(inst, spec), alloc)
 
 
 def precedes(inst: Instance, spec: ObjectiveSpec, a: Allocation, b: Allocation) -> bool:
@@ -103,7 +107,8 @@ def precedes(inst: Instance, spec: ObjectiveSpec, a: Allocation, b: Allocation) 
     whose tuples differ decides. Equal sorted sequences are incomparable,
     so the relation is a strict weak order.
     """
-    return sorted_objectives(inst, spec, a) < sorted_objectives(inst, spec, b)
+    counts = _counts(inst, spec)
+    return _sorted_tuples(inst, counts, a) < _sorted_tuples(inst, counts, b)
 
 
 def _objective_rows(inst: Instance, spec: ObjectiveSpec):
@@ -148,10 +153,9 @@ def leximin_solve(
     """
     size = guard_search_space(inst.agents, inst.m, max_space)
     chunks, counts = _objective_rows(inst, spec)
-    first, _key, ties = lex_argmax(chunks, lambda chunk: np.sort(chunk, axis=1).T)
+    first, ties = lex_argmax(chunks, lambda chunk: np.sort(chunk, axis=1).T)
     allocation = Allocation(inst.agents, assignment_at(inst.agents, inst.m, first))
-    tuples = ((value(inst, i, s), *counts(i, s)) for i, s in enumerate(allocation.bundles()))
-    return SolveResult(allocation, tuple(sorted(tuples)), None, ties, size)
+    return SolveResult(allocation, _sorted_tuples(inst, counts, allocation), None, ties, size)
 
 
 def is_leximin_optimal(

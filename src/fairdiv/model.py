@@ -527,7 +527,9 @@ class Allocation(_Record):
     @classmethod
     def from_bundles(cls, agents: int, masks, m: int) -> "Allocation":
         """Build an allocation from per-agent bitmasks; they must partition
-        the m items."""
+        the m items, one mask per agent."""
+        if len(masks) != agents:
+            raise InvalidAllocation(f"{len(masks)} bundles for {agents} agents")
         assignment = [-1] * m
         for agent, mask in enumerate(masks):
             rest = mask
@@ -679,7 +681,10 @@ def scaled_value(inst: Instance, agent: int, bundle: Bundle) -> int:
 
 
 def value(inst: Instance, agent: int, bundle: Bundle) -> Fraction:
-    """Exact value of a bundle (bitmask) to an agent."""
+    """Exact value of a bundle (bitmask) to an agent, refusing an agent
+    outside 0..n-1 or a bundle outside 0..2^m-1 (:class:`InvalidAllocation`)."""
+    if not (0 <= agent < inst.agents and 0 <= bundle <= inst.full_mask):
+        raise InvalidAllocation(f"agent {agent} or bundle {bundle} out of range")
     return Fraction(scaled_value(inst, agent, bundle), inst.valuation.scale)
 
 

@@ -108,7 +108,7 @@ def mnw_prime_solve(inst: Instance, max_space: int | None = None) -> SolveResult
     contributions, _lookup = contribution_matrix(inst)
     # chores only: v_i(A_i) - v_i(M) >= 0
     totals = contributions.sum(axis=1)
-    first, _key, ties = lex_argmax(
+    first, ties = lex_argmax(
         allocation_chunks(contributions), lambda chunk: _nash_columns(chunk - totals)
     )
     return _nash_result(inst, first, ties, lambda alloc: nash_prime_factors(inst, alloc))

@@ -338,7 +338,9 @@ def test_huge_denominators_take_the_exact_path():
     h0, h1 = HUGE
     table = general(2, [0, Fraction(3, h1), Fraction(4, h0), Fraction(10, h0)])
     for inst in (mixed, chores, table):
-        assert contribution_matrix(inst)[0].dtype == object
+        # a general table's bits stay int64; its lookup takes the exact path
+        contributions, lookup = contribution_matrix(inst)
+        assert (contributions if lookup is None else lookup).dtype == object
         for spec in SPECS:
             assert_leximin_matches(inst, spec)
         for assignment in ((0, 1, 2, 0), (1, 1, 0, 2), (0, 0)):
@@ -379,6 +381,10 @@ def test_a_general_table_is_one_lookup_that_every_agent_shares():
     assert contributions.shape == (3, 2)
     assert lookup.shape == (2**inst.m,)
     assert lookup.tolist() == [0, 10, -5, 5]
+    # leximin's equal count rows fold into the lookup; the matrix holds bits
+    contributions, lookup = contribution_matrix(inst, 5, [[1, -1]] * 3)
+    assert contributions.tolist() == [[1, 2]] * 3
+    assert lookup.tolist() == [0, 11, -6, 5]
     assert contribution_matrix(additive([(1, -1)] * 3))[1] is None
 
 

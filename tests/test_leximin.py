@@ -178,10 +178,19 @@ def test_a_built_in_solve_classifies_the_items_once(method, monkeypatch):
         return classify(inst)
 
     monkeypatch.setattr(leximin, "classify_items", counted)
-    inst = general(3, (0, 2, -1, 1, 3, 5, 2, 4))
-    res = leximin_solve(inst, SPEC_NAMES[method])
+    inst, spec = general(3, (0, 2, -1, 1, 3, 5, 2, 4)), SPEC_NAMES[method]
+    res = leximin_solve(inst, spec)
     assert len(calls) == 1
-    assert res.objective_vector == sorted_objectives(inst, SPEC_NAMES[method], res.allocation)
+    calls.clear()
+    assert res.objective_vector == sorted_objectives(inst, spec, res.allocation)
+    assert len(calls) == 1
+    calls.clear()
+    assert not precedes(inst, spec, res.allocation, Allocation(3, (0, 1, 2)))
+    assert len(calls) == 1
+    calls.clear()
+    # once for the solve, once for the allocation checked against it
+    assert is_leximin_optimal(inst, spec, res.allocation)
+    assert len(calls) <= 2
 
 
 def test_leximin_solve_guard():

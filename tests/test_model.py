@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import additive, general
 from fairdiv import (
+    UTILITY_GOODS,
     AdditiveValuation,
     Allocation,
     GeneralIdenticalValuation,
@@ -28,6 +29,7 @@ from fairdiv import (
     format_value,
     instance_from_json,
     instance_to_json,
+    objective,
     parse_pair,
     parse_value,
     require_chores_only,
@@ -385,6 +387,8 @@ def test_allocation_partition_checks():
         Allocation.from_bundles(2, (0b100, 0b010), 3)  # item a missing
     with pytest.raises(InvalidAllocation):
         Allocation.from_bundles(2, (0b1000, 0b111), 3)  # item out of range
+    with pytest.raises(InvalidAllocation, match="2 bundles for 1 agents"):
+        Allocation.from_bundles(1, [1, 0], 1)
 
 
 # ------------------------------------------------------------ validation
@@ -485,6 +489,15 @@ def test_value_general_reads_table():
     inst = general(2, (0, 2, -1, 1))
     assert value(inst, 0, 0b11) == 1
     assert value(inst, 1, 0b10) == -1
+
+
+@pytest.mark.parametrize("agent, bundle", [(-1, 1), (2, 1), (7, 1), (0, -1), (0, 4)])
+def test_value_refuses_an_agent_or_bundle_out_of_range(agent, bundle):
+    for inst in (additive([(1, 2), (3, 4)]), general(2, (0, 2, -1, 1))):
+        with pytest.raises(InvalidAllocation, match="out of range"):
+            value(inst, agent, bundle)
+        with pytest.raises(InvalidAllocation, match="out of range"):
+            objective(inst, UTILITY_GOODS, agent, bundle)
 
 
 # --------------------------------------------------------------- rescale
