@@ -7,7 +7,8 @@ increasing objective tuple, the first position at which the two sorted
 tuple sequences differ is smaller in A. This is a strict weak order, and
 a leximin-optimal allocation is a maximal element of it.
 
-The paper's three specs, with v the agent's value, G/C her goods and chores:
+The paper's three specs, the members of :class:`ObjectiveSpec`, with v the
+agent's value and G/C its goods and chores:
 
 * utility:            f(S) = (v(S),)
 * utility-goods:      f(S) = (v(S), |S  intersect  G|)
@@ -16,6 +17,7 @@ The paper's three specs, with v the agent's value, G/C her goods and chores:
 
 from __future__ import annotations
 
+from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -32,31 +34,21 @@ from .model import (
     Bundle,
     Instance,
     SolveResult,
-    _Record,
     classify_items,
     require_allocation,
     value,
 )
 
 
-class ObjectiveSpec(_Record):
-    """A named family of per-agent objective tuples: one of the three kinds
-    below, each a constant of this class."""
-
-    kind: str
+class ObjectiveSpec(Enum):
+    """A named family of per-agent objective tuples, one of the paper's three."""
 
     UTILITY = "utility"
     UTILITY_GOODS = "utility-goods"
     UTILITY_GOODS_CHORES = "utility-goods-chores"
 
-    def __post_init__(self):
-        if self.kind not in (self.UTILITY, self.UTILITY_GOODS, self.UTILITY_GOODS_CHORES):
-            raise ValueError(f"unknown objective kind {self.kind!r}")
 
-
-UTILITY = ObjectiveSpec(ObjectiveSpec.UTILITY)
-UTILITY_GOODS = ObjectiveSpec(ObjectiveSpec.UTILITY_GOODS)
-UTILITY_GOODS_CHORES = ObjectiveSpec(ObjectiveSpec.UTILITY_GOODS_CHORES)
+UTILITY, UTILITY_GOODS, UTILITY_GOODS_CHORES = ObjectiveSpec
 
 #: Solver names accepted on the command line, mapped to objective specs.
 SPEC_NAMES = {
@@ -69,11 +61,13 @@ SPEC_NAMES = {
 def _counts(inst: Instance, spec: ObjectiveSpec) -> Callable[[int, Bundle], tuple]:
     """What a spec counts after the value, as a function of
     (agent, bundle): nothing, the goods held, or the goods held and minus
-    the chores held."""
-    if spec.kind == ObjectiveSpec.UTILITY:
+    the chores held. Any other spec is a ``ValueError``."""
+    if not isinstance(spec, ObjectiveSpec):
+        raise ValueError(f"not an objective spec: {spec!r}")
+    if spec is UTILITY:
         return lambda agent, bundle: ()
     cls = classify_items(inst)
-    if spec.kind == ObjectiveSpec.UTILITY_GOODS:
+    if spec is UTILITY_GOODS:
         return lambda agent, bundle: ((bundle & cls.goods[agent]).bit_count(),)
     return lambda agent, bundle: (
         (bundle & cls.goods[agent]).bit_count(),
@@ -139,6 +133,15 @@ def _objective_rows(inst: Instance, spec: ObjectiveSpec):
     return allocation_chunks(*matrix), counts
 
 
+def _solve(inst: Instance, spec: ObjectiveSpec, max_space: int | None):
+    """(:func:`leximin_solve`'s result, the spec's :func:`_counts`)."""
+    size = guard_search_space(inst.agents, inst.m, max_space)
+    chunks, counts = _objective_rows(inst, spec)
+    first, ties = lex_argmax(chunks, lambda chunk: np.sort(chunk, axis=1).T)
+    alloc = Allocation(inst.agents, assignment_at(inst.agents, inst.m, first))
+    return SolveResult(alloc, _sorted_tuples(inst, counts, alloc), None, ties, size), counts
+
+
 def leximin_solve(
     inst: Instance,
     spec: ObjectiveSpec = UTILITY,
@@ -151,11 +154,7 @@ def leximin_solve(
     optimum met. ``tie_count`` reports how many allocations share the
     optimal sorted objective vector.
     """
-    size = guard_search_space(inst.agents, inst.m, max_space)
-    chunks, counts = _objective_rows(inst, spec)
-    first, ties = lex_argmax(chunks, lambda chunk: np.sort(chunk, axis=1).T)
-    allocation = Allocation(inst.agents, assignment_at(inst.agents, inst.m, first))
-    return SolveResult(allocation, _sorted_tuples(inst, counts, allocation), None, ties, size)
+    return _solve(inst, spec, max_space)[0]
 
 
 def is_leximin_optimal(
@@ -170,5 +169,5 @@ def is_leximin_optimal(
     when it does not rank below the solver's optimum.
     """
     require_allocation(inst, alloc)
-    best = leximin_solve(inst, spec, max_space).objective_vector
-    return not sorted_objectives(inst, spec, alloc) < best
+    best, counts = _solve(inst, spec, max_space)
+    return not _sorted_tuples(inst, counts, alloc) < best.objective_vector

@@ -521,9 +521,6 @@ class Allocation(_Record):
             masks[agent] |= 1 << j
         return tuple(masks)
 
-    def bundle(self, agent: int) -> Bundle:
-        return self.bundles()[agent]
-
     @classmethod
     def from_bundles(cls, agents: int, masks, m: int) -> "Allocation":
         """Build an allocation from per-agent bitmasks; they must partition
@@ -681,9 +678,11 @@ def scaled_value(inst: Instance, agent: int, bundle: Bundle) -> int:
 
 
 def value(inst: Instance, agent: int, bundle: Bundle) -> Fraction:
-    """Exact value of a bundle (bitmask) to an agent, refusing an agent
-    outside 0..n-1 or a bundle outside 0..2^m-1 (:class:`InvalidAllocation`)."""
-    if not (0 <= agent < inst.agents and 0 <= bundle <= inst.full_mask):
+    """Exact value of a bundle (bitmask) to an agent, refusing an agent or
+    bundle that is not an ``int`` (a ``bool`` is not one), an agent outside
+    0..n-1 or a bundle outside 0..2^m-1 (:class:`InvalidAllocation`)."""
+    ints = _is_int(agent) and _is_int(bundle)
+    if not (ints and 0 <= agent < inst.agents and 0 <= bundle <= inst.full_mask):
         raise InvalidAllocation(f"agent {agent} or bundle {bundle} out of range")
     return Fraction(scaled_value(inst, agent, bundle), inst.valuation.scale)
 

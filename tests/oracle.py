@@ -163,9 +163,9 @@ def _solver_key_fn(inst, spec):
         tuples = []
         for i in range(n):
             entry = (tables[i][masks[i]],)
-            if spec.kind != ObjectiveSpec.UTILITY:
+            if spec is not ObjectiveSpec.UTILITY:
                 entry += ((masks[i] & cls.goods[i]).bit_count(),)
-            if spec.kind == ObjectiveSpec.UTILITY_GOODS_CHORES:
+            if spec is ObjectiveSpec.UTILITY_GOODS_CHORES:
                 entry += (-(masks[i] & cls.chores[i]).bit_count(),)
             tuples.append(entry)
         return tuple(sorted(tuples))

@@ -74,7 +74,7 @@ def test_acceptance_1_leximin_on_the_five_agent_seven_chore_table():
             (Fraction(-1, 10),),
             (Fraction(-1, 10),),
         )
-        assert res.allocation.bundle(0) == 0b0000111  # items a, b, c
+        assert res.allocation.bundles()[0] == 0b0000111  # items a, b, c
         assert res.tie_count == 1
         prop1 = check_PROP1(inst, res.allocation)
         assert prop1.witness == Prop1Witness(
@@ -102,14 +102,14 @@ def test_acceptance_2_modified_nash_welfare_on_the_three_agent_example():
         # aversion-space recheck: agent 0 carries 18, the grand bundle costs
         # 33, and even the lightest load after one removal is 12 > 33/3
         avers = aversion_view(inst)
-        own = value(avers, 0, res.allocation.bundle(0))
+        own = value(avers, 0, res.allocation.bundles()[0])
         assert own == Fraction(18)
         total = value(avers, 0, inst.full_mask)
         assert total == Fraction(33)
         removals = [
-            value(avers, 0, res.allocation.bundle(0) & ~(1 << j))
+            value(avers, 0, res.allocation.bundles()[0] & ~(1 << j))
             for j in range(inst.m)
-            if res.allocation.bundle(0) >> j & 1
+            if res.allocation.bundles()[0] >> j & 1
         ]
         assert min(removals) == Fraction(12) > total / 3
     report(2)
@@ -129,14 +129,14 @@ def test_acceptance_3_constrained_welfare_counterexamples():
         # aversion-space recheck: agent 0 carries 8 against agent 1's 3,
         # and no single removal gets below 5
         avers = aversion_view(mnw2)
-        bundle0 = res2.allocation.bundle(0)
+        bundle0 = res2.allocation.bundles()[0]
         removals = {
             value(avers, 0, bundle0 & ~(1 << j))
             for j in range(mnw2.m)
             if bundle0 >> j & 1
         }
         assert removals == {Fraction(5), Fraction(6)}
-        assert min(removals) > value(avers, 0, res2.allocation.bundle(1))
+        assert min(removals) > value(avers, 0, res2.allocation.bundles()[1])
 
         mnw3 = fixture_instance("mnw3")
         res3 = constrained_mnw_solve(mnw3)
@@ -149,7 +149,7 @@ def test_acceptance_3_constrained_welfare_counterexamples():
         )
         # agent 0's lightest single-removal load is 10.3, above 50.3/5
         avers3 = aversion_view(mnw3)
-        bundle0 = res3.allocation.bundle(0)
+        bundle0 = res3.allocation.bundles()[0]
         best = min(
             value(avers3, 0, bundle0 & ~(1 << j))
             for j in range(mnw3.m)
@@ -278,7 +278,7 @@ def u_form_EF1(avers, alloc):
 def u_form_PROP1(avers, alloc):
     for i in range(avers.agents):
         share = value(avers, i, avers.full_mask) / avers.agents
-        mask = alloc.bundle(i)
+        mask = alloc.bundles()[i]
         if value(avers, i, mask) <= share:
             continue
         if not any(

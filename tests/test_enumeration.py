@@ -39,6 +39,8 @@ from fairdiv.leximin import _objective_rows
 from fairdiv.welfare import _pareto_front_mask, _pareto_frontier
 
 SPECS = tuple(SPEC_NAMES.values())
+#: Positional test ids of the specs, spec0 to spec2, in place of the members' names.
+SPEC_IDS = [f"spec{i}" for i in range(len(SPECS))]
 
 #: Chunk sizes: one prefix per chunk, a few prefixes, and the default.
 BUDGETS = st.sampled_from([1, 7, enumeration.ROW_BUDGET])
@@ -171,7 +173,7 @@ def test_leximin_solve_matches_oracle(inst, spec, rows):
         [(0, 1, 0, 0, -1), (1, 0, -1, 2, 2)],
     ],
 )
-@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_leximin_counts_never_outweigh_one_unit_of_value(rows, spec):
     # integer values one unit apart, where the packed counts of a
     # too-small digit base would overturn the value comparison
@@ -204,7 +206,7 @@ PACKING_INSTANCES = (
 )
 
 
-@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_packed_row_entries_order_like_objective_tuples(spec):
     for inst in PACKING_INSTANCES:
         pairs = set()

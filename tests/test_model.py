@@ -379,7 +379,7 @@ def test_allocation_partition_checks():
         Allocation(2, (0, 2))
     alloc = Allocation(2, (0, 1, 0))
     assert alloc.bundles() == (0b101, 0b010)
-    assert alloc.bundle(1) == 0b010
+    assert alloc.bundles()[1] == 0b010
     assert Allocation.from_bundles(2, (0b101, 0b010), 3) == alloc
     with pytest.raises(InvalidAllocation):
         Allocation.from_bundles(2, (0b101, 0b011), 3)  # item b twice
@@ -491,7 +491,10 @@ def test_value_general_reads_table():
     assert value(inst, 1, 0b10) == -1
 
 
-@pytest.mark.parametrize("agent, bundle", [(-1, 1), (2, 1), (7, 1), (0, -1), (0, 4)])
+@pytest.mark.parametrize(
+    "agent, bundle",
+    [(-1, 1), (2, 1), (7, 1), (0, -1), (0, 4), (0.5, 1), (True, 1), (0, True), (0, 1.0)],
+)
 def test_value_refuses_an_agent_or_bundle_out_of_range(agent, bundle):
     for inst in (additive([(1, 2), (3, 4)]), general(2, (0, 2, -1, 1))):
         with pytest.raises(InvalidAllocation, match="out of range"):

@@ -24,7 +24,6 @@ from fairdiv import (
     GuardWitness,
     Instance,
     ItemClassification,
-    ObjectiveSpec,
     PoWitness,
     Prop1Witness,
     PropWitness,
@@ -116,7 +115,6 @@ RECORDS = [
         },
     ),
     (TraceStep, {"item": 1, "agent": 0, "utilities": (Fraction(-1), Fraction(0))}),
-    (ObjectiveSpec, {"kind": ObjectiveSpec.UTILITY}),
     (
         Violation,
         {
@@ -150,7 +148,7 @@ def test_every_record_class_is_covered():
     assert sorted(c.__name__ for c in _record_classes()) == sorted(
         cls.__name__ for cls, _ in RECORDS
     )
-    assert len(RECORDS) == 22
+    assert len(RECORDS) == 21
 
 
 @pytest.mark.parametrize("cls, values", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
