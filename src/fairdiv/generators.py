@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -93,10 +94,11 @@ class GeneratorConfig:
                 raise ValueError(f"{name} must be an integer")
         if self.seed < 0:
             raise ValueError(f"seed cannot be negative, got {self.seed}")
-        if self.agents < 1:
-            raise ValueError("need at least one agent")
-        if self.items < 0:
-            raise ValueError("item count cannot be negative")
+        # No sequence is longer than sys.maxsize.
+        if not 1 <= self.agents <= sys.maxsize:
+            raise ValueError(f"agents must be from 1 to {sys.maxsize}")
+        if not 0 <= self.items <= sys.maxsize:
+            raise ValueError(f"items must be from 0 to {sys.maxsize}")
         if self.denominator < 1:
             raise ValueError("denominator must be positive")
         if self.weight_max < 1:

@@ -160,8 +160,8 @@ def format_value(x: Fraction) -> str:
     return _format_pair(x.numerator, x.denominator)
 
 
-#: Entries per step of the table codec: both directions keep a table of
-#: distinct values for one chunk at a time.
+#: Entries per step of the table reader: :func:`decode_values` keeps a
+#: table of distinct values for one chunk at a time.
 _DECODE_CHUNK = 8192
 
 
@@ -177,10 +177,10 @@ def format_table(scaled, scale: int) -> list[str]:
 
     When ``scale`` divides a power of ten, 10^d, every entry is rendered
     from the integer ``a * (10^d / scale)``; otherwise each entry is
-    reduced and rendered on its own. Each distinct integer of a
-    :data:`_DECODE_CHUNK`-entry chunk is rendered once, and its entries
-    share that one string: a 16-item general table holds a few hundred
-    distinct values among its 65,536 entries.
+    reduced and rendered on its own. Each distinct integer of the whole
+    table is rendered once, and its entries share that one string: a
+    16-item general table holds a few hundred distinct values among its
+    65,536 entries.
     """
     digits, rest = _decimal_digits(scale)
     if rest != 1:
@@ -190,13 +190,9 @@ def format_table(scaled, scale: int) -> list[str]:
         factor = 10**digits // scale
         def render(a):
             return _decimal(a * factor, digits)
-    out = []
-    for chunk in _chunks(scaled):
-        text = dict.fromkeys(chunk)
-        for a in text:
-            text[a] = render(a)
-        out.extend(map(text.__getitem__, chunk))
-    return out
+    for a in (text := dict.fromkeys(scaled)):
+        text[a] = render(a)
+    return list(map(text.__getitem__, scaled))
 
 
 def _common_divisor(scaled, scale: int) -> int:
@@ -610,14 +606,15 @@ def validate_instance(inst: Instance) -> Instance:
 
     Additive instances are valid by construction. A general valuation must
     give the empty bundle value 0, or :class:`NonzeroEmptySet` is raised,
-    and be item-wise monotone: :func:`classify_items`, run here, raises
-    :class:`MixedMonotonicity` otherwise.
+    and be item-wise monotone: :func:`classify_items`, run here on a
+    one-agent view (all agents share the split, so nothing is built per
+    agent), raises :class:`MixedMonotonicity` otherwise.
     """
     if isinstance(inst.valuation, AdditiveValuation):
         return inst
     if inst.valuation.scaled[0] != 0:
         raise NonzeroEmptySet(value(inst, 0, 0))
-    classify_items(inst)
+    classify_items(Instance(1, inst.items, inst.valuation))
     return inst
 
 

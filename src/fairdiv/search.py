@@ -1,9 +1,9 @@
 """Counterexample search: run a solver over a seeded instance stream and
 audit its output.
 
-Per-trial seeds are drawn once from the config seed, so the whole run is
-reproducible and every reported violation can be re-verified from the
-report alone. Each trial's instance is generated when the trial runs.
+Each trial draws its seed from one generator seeded with the config seed,
+and generates its instance, as it starts. The whole run is reproducible, and
+every reported violation can be re-verified from the report alone.
 """
 
 from __future__ import annotations
@@ -85,9 +85,9 @@ def search_counterexamples(
     notions = require_notions(notions)
     require_max_space(max_space)
     rng = random.Random(config.seed)
-    trial_seeds = [rng.randrange(2**63) for _ in range(trials)]
     violations = []
-    for trial, seed in enumerate(trial_seeds):
+    for trial in range(trials):
+        seed = rng.randrange(2**63)
         inst = generate(replace(config, seed=seed))
         result = solve_with_method(inst, method, max_space)
         report = audit(inst, result.allocation, notions, max_space)

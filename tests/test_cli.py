@@ -10,6 +10,7 @@ from fairdiv import (
     Allocation,
     allocation_to_dict,
     fixture_instance,
+    instance_from_json,
     instance_to_dict,
 )
 from fairdiv import greedy
@@ -341,6 +342,39 @@ def test_out_of_range_generator_and_trial_options_exit_two(args):
     assert res.exit_code == 2
     assert res.stdout == ""
     assert "error:" in res.stderr
+
+
+def test_gen_refuses_an_agent_count_past_sys_maxsize():
+    # An additive family drew rows until the process was killed.
+    args = ["--agents", str(sys.maxsize + 1), "--items", "1", "--seed", "0"]
+    res = runner.invoke(main, ["gen", "--family", "additive-chores", *args])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "agents must be from" in res.stderr
+
+
+def test_a_general_table_of_huge_agent_count_round_trips(tmp_path):
+    # Every agent shares a general table's goods and chores.
+    path = tmp_path / "huge.json"
+    args = ["--agents", str(10**18), "--items", "2", "--seed", "0", "--out", str(path)]
+    res = runner.invoke(main, ["gen", "--family", "general-identical", *args])
+    assert res.exit_code == 0
+    inst = instance_from_json(path.read_text())
+    assert (inst.agents, inst.m) == (10**18, 2)
+
+
+def test_leximin_on_a_huge_agent_count_exits_two(tmp_path):
+    # Loading classified the goods of every agent and died of MemoryError,
+    # which exited 1, the code of a violation found.
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"agents": 1000000000000000000, "items": ["a", "b"],'
+        ' "valuation": {"type": "general-identical", "table": ["0", "1", "2", "3"]}}'
+    )
+    res = runner.invoke(main, ["solve", "--instance", str(path), "--method", "leximin"])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "search space has 10" in res.stderr
 
 
 def test_a_repeated_notion_exits_two(tmp_path):

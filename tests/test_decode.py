@@ -207,7 +207,8 @@ ALL_DISTINCT_16 = GeneratorConfig(2, 16, "general-identical", 1, perturb_max=50_
 
 def test_format_table_renders_a_16_item_table_in_bounded_memory():
     # One string per entry peaked at about 4 MB, one per distinct value
-    # of each chunk at about 0.8 MB.
+    # of each 8,192-entry chunk at about 0.8 MB, and one per distinct
+    # value of the whole table at about 0.6 MB.
     valuation = generate(GENERAL_16).valuation
     assert traced_peak(format_table, valuation.scaled, valuation.scale) < 2_000_000
 

@@ -1,6 +1,7 @@
 """Random instance generation: determinism, ranges and validity."""
 
 import hashlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -188,6 +189,14 @@ def test_config_rejects_a_value_that_is_not_exact(field, bad):
 def test_config_rejects_a_count_that_is_not_an_int(field, bad):
     with pytest.raises(ValueError, match=field):
         cfg(**{field: bad})
+
+
+@pytest.mark.parametrize("field", ["agents", "items"])
+def test_config_rejects_a_count_past_sys_maxsize(field):
+    # No sequence is that long: an additive family drew rows until killed.
+    with pytest.raises(ValueError, match=f"{field} must be from"):
+        cfg(**{field: sys.maxsize + 1})
+    assert getattr(cfg(**{field: sys.maxsize}), field) == sys.maxsize
 
 
 @pytest.mark.parametrize("bad", [None, "5", 1.5, True, -5, -1], ids=repr)

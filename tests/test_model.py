@@ -3,8 +3,8 @@ bundle values, rescaling and the aversion view."""
 
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,22 +216,21 @@ ENTRY = st.integers(-(2**80), 2**80)
         st.builds(lambda k, j: 2**k * 5**j, st.integers(0, 30), st.integers(0, 30)),
         st.integers(1, 10**6),
     ),
-    chunk=st.integers(1, 7),
 )
-def test_format_table_is_format_value_of_each_entry(entries, scale, chunk):
-    with mock.patch.object(model, "_DECODE_CHUNK", chunk):
-        assert format_table(entries, scale) == [format_value(Fraction(a, scale)) for a in entries]
+def test_format_table_is_format_value_of_each_entry(entries, scale):
+    assert format_table(entries, scale) == [format_value(Fraction(a, scale)) for a in entries]
 
 
 @pytest.mark.parametrize("scale", [8, 3])
 def test_format_table_renders_a_chunk_s_distinct_values_once(scale):
     chunk = model._DECODE_CHUNK
-    # -1 repeats across the chunk boundary; 2^70 + 1 is past int64
+    # -1 and 2^70 + 1 (past int64) repeat across the reader's chunk
+    # boundary; the writer renders each distinct value of the whole table once
     entries = [-1, 5, 2**70 + 1] * (chunk // 3) + [-1, -1, 2**70 + 1, 7] * 3
     expected = {a: format_value(Fraction(a, scale)) for a in set(entries)}
     rendered = format_table(entries, scale)
     assert rendered == [expected[a] for a in entries]
-    assert len({id(text) for text in rendered[:chunk]}) == 3
+    assert len({id(text) for text in rendered}) == len(set(entries)) == 4
 
 
 # ------------------------------------------------------------ structure
@@ -329,6 +328,23 @@ def test_an_agent_count_past_sys_maxsize_is_refused():
     with pytest.raises(InvalidInstance, match="at most"):
         instance_from_json(document)
     assert Instance(sys.maxsize, (), table).agents == sys.maxsize
+
+
+def test_loading_a_general_table_builds_nothing_per_agent():
+    # Validation classified the goods of each of 10^6 agents, about 24 MB;
+    # every agent shares a general table's split.
+    document = (
+        '{"agents": 1000000, "items": ["a", "b"],'
+        ' "valuation": {"type": "general-identical", "table": ["0", "1", "2", "3"]}}'
+    )
+    tracemalloc.start()
+    try:
+        inst = instance_from_json(document)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.agents == 10**6
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize(
